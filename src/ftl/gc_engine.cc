@@ -61,7 +61,10 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
     // only the program sequence number is fresh. A program fault on the
     // destination is absorbed by the re-drive.
     nand::Ppa dst = f.ProgramWithRedrive(*rd.data, now);
-    if (dst == nand::kInvalidPpa) return false;  // reserve exhausted
+    if (dst == nand::kInvalidPpa) {  // reserve exhausted
+      f.RefreshVictim(block_id);
+      return false;
+    }
 
     ++f.stats_.gc_page_copies;
     Lba lba = f.p2l_.Get(src);
@@ -95,6 +98,9 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
     f.JournalAppend({JournalOpKind::kRelocate, /*flag=*/false, 0, src, dst,
                      f.write_seq_, now, 0});
   }
+  // The source's counters only fell; re-key it once rather than per page.
+  // (Each destination is its chip's frontier, never an index member.)
+  f.RefreshVictim(block_id);
   return true;
 }
 
@@ -111,7 +117,7 @@ bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
   if (f.journal_.Enabled() && !f.replaying_) {
     const JournalRecord intent{JournalOpKind::kEraseIntent, /*flag=*/false, 0,
                                victim, nand::kInvalidPpa,
-                               f.nand_.BlockAt(addr).EraseCount(), now, 0};
+                               f.blocks_.EraseCount(victim), now, 0};
     f.JournalAppend(intent);
     if (!f.JournalFlushAll(now)) {
       // Region exhausted or the flush tore: a committed checkpoint clears
@@ -143,6 +149,8 @@ bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
     f.page_state_.Set(geo.MakePpa(addr.chip, addr.block, p), PageState::kFree);
   }
   assert(f.block_counters_[victim].Movable() == 0);
+  f.blocks_.OnErase(victim);
+  f.RefreshVictim(victim);
   f.RecycleBlock(victim);
   ++f.stats_.gc_erases;
   return true;

@@ -502,6 +502,49 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
               });
   }
 
+  // --- G1/G2: the dense block mirror against NAND, and the victim index
+  // against the eligibility rule it caches.
+  std::size_t eligible_total = 0;
+  for (std::uint32_t b = 0; b < geo.TotalBlocks() && !rec.Full(); ++b) {
+    if (ftl.blocks_.IsReserved(b)) continue;
+    const nand::Block& blk = ftl.nand_.BlockAt(ftl.AddrOfBlockId(b));
+    rec.Check(ftl.blocks_.WritePointer(b) == blk.WritePointer() &&
+                  ftl.blocks_.EraseCount(b) == blk.EraseCount(),
+              Kind::kStructural, [&](InvariantViolation& v) {
+                v.where = "block " + Str(b) + " mirror";
+                v.expected = "write pointer " + Str(blk.WritePointer()) +
+                             ", erases " + Str(blk.EraseCount()) + " (NAND)";
+                v.actual = "write pointer " +
+                           Str(ftl.blocks_.WritePointer(b)) + ", erases " +
+                           Str(ftl.blocks_.EraseCount(b));
+              });
+    const bool eligible = ftl.blocks_.IsFull(b) && !ftl.IsActiveBlock(b) &&
+                          ftl.block_health_[b] == BlockHealth::kHealthy;
+    if (eligible) ++eligible_total;
+    const std::uint32_t key = eligible ? ftl.block_counters_[b].Movable()
+                                       : VictimIndex::kNone;
+    rec.Check(ftl.victims_.KeyOf(b) == key &&
+                  (!eligible ||
+                   ftl.victims_.EraseKeyOf(b) == ftl.blocks_.EraseCount(b)),
+              Kind::kStructural, [&](InvariantViolation& v) {
+                v.where = "victim index entry of block " + Str(b);
+                v.expected = eligible ? "keyed by " + Str(key) + " movable"
+                                      : "absent (not reclaimable)";
+                v.actual = ftl.victims_.Contains(b)
+                               ? "keyed by " + Str(ftl.victims_.KeyOf(b)) +
+                                     " movable, " +
+                                     Str(ftl.victims_.EraseKeyOf(b)) +
+                                     " erases"
+                               : "absent";
+              });
+  }
+  rec.Check(rec.Full() || ftl.victims_.Size() == eligible_total,
+            Kind::kStructural, [&](InvariantViolation& v) {
+              v.where = "victim index size";
+              v.expected = Str(eligible_total) + " (reclaimable blocks)";
+              v.actual = Str(ftl.victims_.Size());
+            });
+
   return report;
 }
 

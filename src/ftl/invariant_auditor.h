@@ -35,6 +35,10 @@
 //                the number of version records referencing o's hash
 //   V3  ∀ non-tombstone record r ∈ store: r.hash resolves to an object
 //   V4  |store objects| = archived page total = Σ_b counters[b].archived
+//   G1  ∀ data block b: mirror(b).{write pointer, erase count} = NAND(b)
+//   G2  ∀ data block b: b ∈ victim index ⇔ full(b) ∧ b not a frontier ∧
+//                health[b] = Healthy; a member is keyed by (counters[b]
+//                movable, erase count)
 //
 // Audit() never mutates the FTL. The INSIDER_AUDIT build option additionally
 // compiles a hook into PageFtl that runs Audit() after every mutation and

@@ -157,8 +157,8 @@ PageFtl::PageFtl(const FtlConfig& config)
       // store only receives the policy table when the config is sound.
       store_(ValidateRetentionConfig(config).ok() ? config.range_policies
                                                   : nullptr),
-      view_(config_.geometry, nand_, block_counters_, active_block_per_chip_,
-            free_blocks_by_chip_, block_health_),
+      view_(config_.geometry, blocks_, victims_, block_counters_,
+            active_block_per_chip_, free_blocks_by_chip_, block_health_),
       gc_(*this) {
   retention_ = MakeRetentionPolicy(config_, &retention_error_);
   if (retention_ == nullptr) {
@@ -173,6 +173,9 @@ PageFtl::PageFtl(const FtlConfig& config)
   }
   nand_.SetFaultPlan(config_.fault_plan);
   const nand::Geometry& geo = config_.geometry;
+  blocks_.Reset(geo);
+  victims_.Reset(static_cast<std::uint32_t>(geo.TotalBlocks()),
+                 geo.pages_per_block);
   std::uint64_t reserved_pages = 0;
   if (config_.checkpoint.enabled) {
     // Reserve the metadata stripe: two checkpoint buffers, then two journal
@@ -194,6 +197,7 @@ PageFtl::PageFtl(const FtlConfig& config)
             static_cast<std::uint64_t>(chip) * geo.blocks_per_chip + index;
         groups[g].push_back(id);
         metadata_blocks_.push_back(id);
+        blocks_.MarkReserved(static_cast<std::uint32_t>(id));
       }
     }
     assert(metadata_blocks_.size() < geo.TotalBlocks());
@@ -250,6 +254,24 @@ bool PageFtl::IsActiveBlock(std::uint32_t block_id) const {
   return active_block_per_chip_[chip] == block_id;
 }
 
+void PageFtl::RefreshVictim(std::uint32_t block_id) {
+  if (blocks_.IsFull(block_id) && !IsActiveBlock(block_id) &&
+      block_health_[block_id] == BlockHealth::kHealthy &&
+      !blocks_.IsReserved(block_id)) {
+    victims_.Place(block_id, block_counters_[block_id].Movable(),
+                   blocks_.EraseCount(block_id));
+  } else {
+    victims_.Remove(block_id);
+  }
+}
+
+void PageFtl::RebuildVictimIndex() {
+  victims_.Clear();
+  const std::uint32_t total =
+      static_cast<std::uint32_t>(config_.geometry.TotalBlocks());
+  for (std::uint32_t b = 0; b < total; ++b) RefreshVictim(b);
+}
+
 std::uint32_t PageFtl::BlockIdOf(nand::Ppa ppa) const {
   const nand::Geometry& geo = config_.geometry;
   return geo.ChipOf(ppa) * geo.blocks_per_chip + geo.BlockOf(ppa);
@@ -265,17 +287,18 @@ nand::Ppa PageFtl::AllocatePage() {
   std::optional<std::uint32_t> chip = allocation_->NextChip(view_);
   if (!chip) return nand::kInvalidPpa;
   std::uint32_t& active = active_block_per_chip_[*chip];
-  if (active == kNoActiveBlock ||
-      nand_.BlockAt(AddrOfBlockId(active)).IsFull()) {
+  if (active == kNoActiveBlock || blocks_.IsFull(active)) {
     auto& pool = free_blocks_by_chip_[*chip];
     assert(!pool.empty());  // ChipCanAllocate guaranteed a free block
+    const std::uint32_t closed = active;
     active = pool.back();
     pool.pop_back();
     --free_block_count_;
+    // The full block just stopped being a frontier: GC may now take it.
+    if (closed != kNoActiveBlock) RefreshVictim(closed);
   }
   nand::BlockAddr addr = AddrOfBlockId(active);
-  std::uint32_t page = nand_.BlockAt(addr).WritePointer();
-  return geo.MakePpa(addr.chip, addr.block, page);
+  return geo.MakePpa(addr.chip, addr.block, blocks_.WritePointer(active));
 }
 
 void PageFtl::RecycleBlock(std::uint32_t block_id) {
@@ -285,18 +308,21 @@ void PageFtl::RecycleBlock(std::uint32_t block_id) {
 
 void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
   assert(page_state_.Get(entry.old_ppa) == PageState::kRetained);
-  BlockCounters& info = block_counters_[BlockIdOf(entry.old_ppa)];
+  const std::uint32_t block_id = BlockIdOf(entry.old_ppa);
+  BlockCounters& info = block_counters_[block_id];
   assert(info.retained > 0);
   --info.retained;
   --retained_pages_;
-  if (store_.Enabled() && store_.Protected(entry.lba) &&
-      ArchiveBackup(entry, now)) {
-    // The page is now a version-store object: it stays on NAND with its p2l
-    // tag intact so GC relocation and the rebuild scan keep working on it.
-    return;
+  if (!store_.Enabled() || !store_.Protected(entry.lba) ||
+      !ArchiveBackup(entry, now)) {
+    page_state_.Set(entry.old_ppa, PageState::kInvalid);
+    p2l_.Set(entry.old_ppa, kInvalidLba);
   }
-  page_state_.Set(entry.old_ppa, PageState::kInvalid);
-  p2l_.Set(entry.old_ppa, kInvalidLba);
+  // Otherwise the page is now a version-store object: it stays on NAND with
+  // its p2l tag intact so GC relocation and the rebuild scan keep working on
+  // it. Either way re-key the block once its counters have settled (the
+  // archive path can prune other pages of the same block on the way).
+  RefreshVictim(block_id);
 }
 
 bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
@@ -340,11 +366,13 @@ bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
 void PageFtl::ReleaseArchived(nand::Ppa ppa) {
   assert(page_state_.Get(ppa) == PageState::kArchived);
   page_state_.Set(ppa, PageState::kInvalid);
-  BlockCounters& info = block_counters_[BlockIdOf(ppa)];
+  const std::uint32_t block_id = BlockIdOf(ppa);
+  BlockCounters& info = block_counters_[block_id];
   assert(info.archived > 0);
   --info.archived;
   --archived_pages_;
   p2l_.Set(ppa, kInvalidLba);
+  RefreshVictim(block_id);
 }
 
 const nand::PageData* PageFtl::RawPage(nand::Ppa ppa) const {
@@ -406,11 +434,13 @@ void PageFtl::ReleaseExpired(SimTime now) {
 void PageFtl::MarkInvalid(nand::Ppa ppa) {
   assert(page_state_.Get(ppa) == PageState::kValid);
   page_state_.Set(ppa, PageState::kInvalid);
-  BlockCounters& info = block_counters_[BlockIdOf(ppa)];
+  const std::uint32_t block_id = BlockIdOf(ppa);
+  BlockCounters& info = block_counters_[block_id];
   assert(info.valid > 0);
   --info.valid;
   --valid_pages_;
   p2l_.Set(ppa, kInvalidLba);
+  RefreshVictim(block_id);
 }
 
 void PageFtl::Retire(Lba lba, nand::Ppa old_ppa, SimTime now) {
@@ -440,6 +470,12 @@ nand::Ppa PageFtl::ProgramWithRedrive(nand::PageData data, SimTime& now) {
     attempt.oob.seq = ++write_seq_;
     nand::NandResult pr = nand_.ProgramPage(ppa, std::move(attempt), now);
     now = pr.complete_time;
+    // Both outcomes below consume the page position. The block is its
+    // chip's frontier, so it cannot be a GC candidate yet: the victim index
+    // picks it up when allocation moves off it.
+    if (pr.ok() || pr.status == nand::NandStatus::kProgramFail) {
+      blocks_.OnProgram(BlockIdOf(ppa));
+    }
     if (pr.ok()) return ppa;
     if (pr.status != nand::NandStatus::kProgramFail) {
       // Sequencing violation, not a media fault — surface it as frontier
@@ -468,6 +504,7 @@ void PageFtl::MarkPendingRetire(std::uint32_t block_id) {
   if (active_block_per_chip_[chip] == block_id) {
     active_block_per_chip_[chip] = kNoActiveBlock;
   }
+  RefreshVictim(block_id);
 }
 
 void PageFtl::RetireBlock(std::uint32_t block_id) {
@@ -491,6 +528,7 @@ void PageFtl::RetireBlock(std::uint32_t block_id) {
     ++retired_blocks_;
     ++stats_.blocks_retired;
   }
+  RefreshVictim(block_id);
 }
 
 void PageFtl::EnterDegraded() {
@@ -867,6 +905,7 @@ void PageFtl::WipeVolatileState() {
   for (auto& pool : free_blocks_by_chip_) pool.clear();
   active_block_per_chip_.assign(geo.TotalChips(), kNoActiveBlock);
   free_block_count_ = 0;
+  victims_.Clear();  // re-derived once the pools and frontiers are rebuilt
   queue_.Clear();
   // The version store's index is DRAM too. On the full-scan path archived
   // pages rescan as ordinary old versions, re-enter the rebuilt ring, and
@@ -941,6 +980,9 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
       }
     }
   }
+  // The dense block state is rebuilt from the same media headers.
+  blocks_.LoadFromMedia(nand_);
+  RebuildVictimIndex();
   return probe_reads;
 }
 

@@ -252,6 +252,7 @@ class PageFtl {
   std::uint64_t ResidentBytesEstimate() const {
     std::uint64_t bytes = l2p_.ResidentBytes() + p2l_.ResidentBytes() +
                           page_state_.ResidentBytes() +
+                          blocks_.ResidentBytes() + victims_.ResidentBytes() +
                           block_counters_.capacity() * sizeof(BlockCounters) +
                           block_health_.capacity() * sizeof(BlockHealth) +
                           active_block_per_chip_.capacity() *
@@ -320,6 +321,13 @@ class PageFtl {
   std::uint32_t BlockIdOf(nand::Ppa ppa) const;
   nand::BlockAddr AddrOfBlockId(std::uint32_t block_id) const;
   bool IsActiveBlock(std::uint32_t block_id) const;
+
+  /// Bring `block_id`'s victim-index entry in line with its state: a member
+  /// exactly when it is full, not a write frontier, healthy and not
+  /// reserved, keyed by its movable count. Every mutation of those inputs
+  /// on the live path calls this; rebuilds re-derive the whole index.
+  void RefreshVictim(std::uint32_t block_id);
+  void RebuildVictimIndex();
 
   // Checkpoint / journal internals ---------------------------------------
 
@@ -412,6 +420,9 @@ class PageFtl {
   common::LazyTable<nand::Ppa> l2p_;
   common::LazyTable<Lba> p2l_;
   common::LazyTable<PageState> page_state_;
+  /// Dense per-block media mirror and the greedy victim index over it.
+  BlockTable blocks_;
+  VictimIndex victims_;
   std::vector<BlockCounters> block_counters_;
   /// Per-chip LIFO pools of erased block ids plus one active block per chip.
   std::vector<std::vector<std::uint32_t>> free_blocks_by_chip_;

@@ -10,7 +10,7 @@ std::optional<std::uint32_t> StripedAllocationPolicy::NextChip(
   const std::uint32_t chips = view.ChipCount();
   for (std::uint32_t tries = 0; tries < chips; ++tries) {
     std::uint32_t chip = next_chip_;
-    next_chip_ = (next_chip_ + 1) % chips;
+    if (++next_chip_ >= chips) next_chip_ = 0;
     if (view.ChipCanAllocate(chip)) return chip;
   }
   return std::nullopt;
@@ -18,24 +18,7 @@ std::optional<std::uint32_t> StripedAllocationPolicy::NextChip(
 
 std::uint32_t GreedyVictimPolicy::SelectVictim(const PolicyView& view,
                                                std::uint32_t max_movable) {
-  std::uint32_t victim = kNoVictim;
-  std::uint32_t best_movable = max_movable + 1;
-  std::uint64_t best_erases = 0;
-  const std::uint32_t total = view.TotalBlocks();
-  for (std::uint32_t b = 0; b < total; ++b) {
-    if (view.IsActive(b) || view.IsOutOfService(b)) continue;
-    if (!view.IsFull(b)) continue;
-    std::uint32_t movable = view.MovablePages(b);
-    // Greedy on copy cost; ties go to the least-worn block (wear leveling).
-    if (movable < best_movable ||
-        (movable == best_movable && victim != kNoVictim &&
-         view.EraseCount(b) < best_erases)) {
-      best_movable = movable;
-      best_erases = view.EraseCount(b);
-      victim = b;
-    }
-  }
-  return victim;
+  return view.GreedyVictim(max_movable);
 }
 
 std::uint32_t CostBenefitVictimPolicy::SelectVictim(

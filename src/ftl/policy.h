@@ -8,9 +8,11 @@
 // selectable cleaning policies (LightNVM targets, F2FS victim selection).
 //
 // Policies see the core through PolicyView, a read-only window over the
-// per-block counters, the NAND wear/fullness state and the allocation
-// frontiers. They hold their own cursor/state but never mutate the core;
-// the core and the GC engine apply their decisions.
+// FTL-owned dense block state (block_table.h): per-block counters, the
+// mirrored wear/fullness facts, the greedy victim index and the allocation
+// frontiers. No accessor reaches into the NAND array. Policies hold their
+// own cursor/state but never mutate the core; the core and the GC engine
+// apply their decisions.
 //
 // The default implementations reproduce the pre-refactor monolith decision
 // for decision (the gc_policy parity test pins this stat-for-stat).
@@ -21,25 +23,27 @@
 #include <optional>
 #include <vector>
 
+#include "ftl/block_table.h"
 #include "ftl/ftl_types.h"
-#include "nand/flash_array.h"
 
 namespace insider::ftl {
 
 /// No reclaimable block satisfied the victim constraints.
-inline constexpr std::uint32_t kNoVictim = 0xFFFFFFFFu;
+inline constexpr std::uint32_t kNoVictim = VictimIndex::kNone;
 
 /// Read-only window onto the mapping core for policy decisions. Cheap,
-/// non-virtual accessors: victim scans touch every block and allocation runs
-/// once per page program, so this sits on hot paths.
+/// non-virtual accessors over flat arrays: allocation runs once per page
+/// program, so this sits on hot paths.
 class PolicyView {
  public:
-  PolicyView(const nand::Geometry& geometry, const nand::FlashArray& nand,
+  PolicyView(const nand::Geometry& geometry, const BlockTable& blocks,
+             const VictimIndex& victims,
              const std::vector<BlockCounters>& block_counters,
              const std::vector<std::uint32_t>& active_block_per_chip,
              const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip,
              const std::vector<BlockHealth>& block_health)
-      : geometry_(geometry), nand_(nand), block_counters_(block_counters),
+      : geometry_(geometry), blocks_(blocks), victims_(victims),
+        block_counters_(block_counters),
         active_block_per_chip_(active_block_per_chip),
         free_blocks_by_chip_(free_blocks_by_chip),
         block_health_(block_health) {}
@@ -62,16 +66,14 @@ class PolicyView {
     return block_counters_[block_id].Movable();
   }
   /// Only full blocks are reclaimable (their write frontier is closed).
-  bool IsFull(std::uint32_t block_id) const {
-    return nand_.BlockAt(AddrOf(block_id)).IsFull();
-  }
+  bool IsFull(std::uint32_t block_id) const { return blocks_.IsFull(block_id); }
   /// An active block is some chip's open write frontier; GC must skip it.
   bool IsActive(std::uint32_t block_id) const {
     std::uint32_t chip = block_id / geometry_.blocks_per_chip;
     return active_block_per_chip_[chip] == block_id;
   }
   std::uint64_t EraseCount(std::uint32_t block_id) const {
-    return nand_.BlockAt(AddrOf(block_id)).EraseCount();
+    return blocks_.EraseCount(block_id);
   }
   /// Grown bad blocks — retired or awaiting retirement — are handled by the
   /// retirement drain, never offered to GC as victims. Reserved metadata
@@ -79,7 +81,14 @@ class PolicyView {
   /// are equally off-limits.
   bool IsOutOfService(std::uint32_t block_id) const {
     return block_health_[block_id] != BlockHealth::kHealthy ||
-           nand_.IsMetadataBlock(block_id);
+           blocks_.IsReserved(block_id);
+  }
+  /// The greedy choice among reclaimable blocks (full, not a frontier, in
+  /// service) with at most `max_movable` movable pages: fewest movable
+  /// pages, then fewest erases, then lowest id. Answered from the victim
+  /// index without visiting other blocks; kNoVictim when none qualifies.
+  std::uint32_t GreedyVictim(std::uint32_t max_movable) const {
+    return victims_.Lowest(max_movable);
   }
 
   // Allocation side ------------------------------------------------------
@@ -89,10 +98,7 @@ class PolicyView {
   /// block has room or a free block is available to open?
   bool ChipCanAllocate(std::uint32_t chip) const {
     std::uint32_t active = active_block_per_chip_[chip];
-    if (active != kNoActiveBlockId &&
-        !nand_.BlockAt(AddrOf(active)).IsFull()) {
-      return true;
-    }
+    if (active != kNoActiveBlockId && !blocks_.IsFull(active)) return true;
     return !free_blocks_by_chip_[chip].empty();
   }
   std::size_t FreeBlocksOnChip(std::uint32_t chip) const {
@@ -102,13 +108,9 @@ class PolicyView {
   static constexpr std::uint32_t kNoActiveBlockId = 0xFFFFFFFFu;
 
  private:
-  nand::BlockAddr AddrOf(std::uint32_t block_id) const {
-    return {block_id / geometry_.blocks_per_chip,
-            block_id % geometry_.blocks_per_chip};
-  }
-
   const nand::Geometry& geometry_;
-  const nand::FlashArray& nand_;
+  const BlockTable& blocks_;
+  const VictimIndex& victims_;
   const std::vector<BlockCounters>& block_counters_;
   const std::vector<std::uint32_t>& active_block_per_chip_;
   const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip_;
@@ -161,7 +163,9 @@ class VictimPolicy {
 
 /// Greedy selection: the full block with the fewest movable pages (minimum
 /// copy cost), ties broken toward the least-worn block so wear stays
-/// bounded. This is the paper's baseline GC and the parity-pinned default.
+/// bounded, then toward the lowest block id. This is the paper's baseline
+/// GC and the parity-pinned default; it reads the answer off the FTL's
+/// victim index (PolicyView::GreedyVictim) instead of scanning every block.
 class GreedyVictimPolicy final : public VictimPolicy {
  public:
   const char* Name() const override { return "greedy"; }

@@ -124,7 +124,8 @@ std::optional<Completion> IoEngine::PopCompletion(QueueId q) {
 bool IoEngine::Step() {
   // Dispatch-eligible pairs: a queued command, and guaranteed room to post
   // its completion later (in-flight commands reserve completion slots).
-  std::vector<std::size_t> eligible;
+  std::vector<std::size_t>& eligible = eligible_;
+  eligible.clear();
   SimTime earliest_dispatch = std::numeric_limits<SimTime>::max();
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     const QueuePair& pair = pairs_[i];
@@ -210,7 +211,8 @@ bool IoEngine::Step() {
 
   // Dispatch: heads tied at the earliest effective time compete; the
   // arbiter picks the winner.
-  std::vector<std::size_t> candidates;
+  std::vector<std::size_t>& candidates = candidates_;
+  candidates.clear();
   for (std::size_t i : eligible) {
     SimTime head = pairs_[i].sq().Peek()->request.time;
     SimTime effective = head > clock_ ? head : clock_;

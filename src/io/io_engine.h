@@ -167,6 +167,9 @@ class IoEngine {
                       std::greater<InFlightEntry>>
       in_flight_;
   std::vector<std::size_t> in_flight_per_pair_;
+  /// Step()'s per-event scratch lists, kept so dispatch does not allocate.
+  std::vector<std::size_t> eligible_;
+  std::vector<std::size_t> candidates_;
   SimTime clock_ = 0;
   EngineStats stats_;
   CommandId next_id_ = 1;

@@ -1,5 +1,7 @@
 #include "workload/multi_tenant.h"
 
+#include <algorithm>
+#include <cassert>
 #include <limits>
 #include <unordered_map>
 
@@ -80,7 +82,12 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     }
   };
 
+  // A pair's outstanding count falls only when the host reaps one of its
+  // completions; this marks the pairs that may have room again.
+  std::vector<char> pair_reaped(queues, 1);
   auto reap_queue = [&](std::size_t q) {
+    if (engine.PendingCompletions(static_cast<io::QueueId>(q)) == 0) return;
+    pair_reaped[q] = 1;
     while (std::optional<io::Completion> c =
                engine.PopCompletion(static_cast<io::QueueId>(q))) {
       if (c->complete_time > report.end_time) {
@@ -95,7 +102,57 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     for (std::size_t q = 0; q < queues; ++q) reap_queue(q);
   };
 
+  // Host-phase pick structure: per queue pair, a min-heap over that pair's
+  // tenants with requests left, keyed by (next due time, tenant index). The
+  // global pick is the smallest head among the unblocked pairs, so a pick
+  // costs O(pairs + log tenants-per-pair) instead of a scan of every tenant.
+  struct Head {
+    SimTime time;
+    std::size_t tenant;
+  };
+  auto later = [](const Head& a, const Head& b) {
+    return a.time != b.time ? a.time > b.time : a.tenant > b.tenant;
+  };
+  std::vector<std::vector<Head>> pair_heads(queues);
+  std::size_t pending_tenants = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tenants_[i].requests.empty()) continue;
+    pair_heads[i % queues].push_back({tenants_[i].requests.front().time, i});
+    ++pending_tenants;
+  }
+  for (std::vector<Head>& heads : pair_heads) {
+    std::make_heap(heads.begin(), heads.end(), later);
+  }
+
+  // Submit the head of pair `q`'s heap, or count its stall and block the
+  // pair for the rest of the round when the ring is full.
   std::vector<char> pair_blocked(queues, 0);
+  auto submit_head = [&](std::size_t q) {
+    std::vector<Head>& heads = pair_heads[q];
+    const std::size_t best = heads.front().tenant;
+    const TenantSpec& tenant = tenants_[best];
+    TenantResult& r = report.tenants[best];
+    IoRequest req = tenant.requests[cursor[best]];
+    req.nsid = ns_of[best];  // the tenant's identity rides every header
+    std::uint64_t stamp = tenant.stamp_base + blocks_written[best];
+    if (!engine.TrySubmit(static_cast<io::QueueId>(q), req, stamp)) {
+      ++r.stall_events;  // host stalls until a completion frees a slot
+      pair_blocked[q] = 1;
+      return false;
+    }
+    ++r.submitted;
+    if (req.mode == IoMode::kWrite) blocks_written[best] += req.length;
+    std::pop_heap(heads.begin(), heads.end(), later);
+    if (++cursor[best] < tenant.requests.size()) {
+      heads.back().time = tenant.requests[cursor[best]].time;
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+      --pending_tenants;
+    }
+    return true;
+  };
+
   for (;;) {
     // Host phase: submissions flow in global time order — a repeated
     // min-pick across the (already sorted) streams. With tenants sharing a
@@ -104,45 +161,36 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     // earlier ones (SQs are FIFO) and manufacture queue wait the device
     // never caused. A full ring stalls the picked tenant and blocks that
     // pair until the device frees a slot; ties go to the lower index.
-    std::fill(pair_blocked.begin(), pair_blocked.end(), 0);
+    //
+    // Every pair with requests left ended the previous round full. One that
+    // has reaped nothing since is full still, so its head stalls again
+    // straight away; only pairs that reaped take part in the pick. Stalls
+    // touch nothing but counters, so charging them first leaves the
+    // submission order — the only cross-pair effect — unchanged.
+    for (std::size_t p = 0; p < queues; ++p) {
+      pair_blocked[p] = 0;
+      if (pair_reaped[p] || pair_heads[p].empty()) continue;
+      [[maybe_unused]] const bool submitted = submit_head(p);
+      assert(!submitted && "a pair gains room only by reaping");
+    }
+    std::fill(pair_reaped.begin(), pair_reaped.end(), 0);
     for (;;) {
-      std::size_t best = n;
-      SimTime best_time = std::numeric_limits<SimTime>::max();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (cursor[i] >= tenants_[i].requests.size()) continue;
-        if (pair_blocked[i % queues]) continue;
-        SimTime t = tenants_[i].requests[cursor[i]].time;
-        if (t < best_time) {
-          best_time = t;
-          best = i;
+      std::size_t q = queues;
+      for (std::size_t p = 0; p < queues; ++p) {
+        if (pair_blocked[p] || pair_heads[p].empty()) continue;
+        if (q == queues || later(pair_heads[q].front(), pair_heads[p].front())) {
+          q = p;
         }
       }
-      if (best == n) break;
-      const TenantSpec& tenant = tenants_[best];
-      TenantResult& r = report.tenants[best];
-      const io::QueueId q = static_cast<io::QueueId>(best % queues);
-      IoRequest req = tenant.requests[cursor[best]];
-      req.nsid = ns_of[best];  // the tenant's identity rides every header
-      std::uint64_t stamp = tenant.stamp_base + blocks_written[best];
-      if (!engine.TrySubmit(q, req, stamp)) {
-        ++r.stall_events;  // host stalls until a completion frees a slot
-        pair_blocked[q] = 1;
-        continue;
-      }
-      ++r.submitted;
-      if (req.mode == IoMode::kWrite) blocks_written[best] += req.length;
-      ++cursor[best];
+      if (q == queues) break;
+      submit_head(q);
     }
 
     // Device phase: process one event — a dispatch (arbitrated) or a
     // completion posting — then reap so stalled tenants can make progress
     // next round.
     if (!engine.Step()) {
-      bool all_drained = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (cursor[i] < tenants_[i].requests.size()) all_drained = false;
-      }
-      if (all_drained && engine.InFlight() == 0) break;
+      if (pending_tenants == 0 && engine.InFlight() == 0) break;
       // Stuck on full completion rings: reap and retry.
       reap_all();
       continue;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/pretrained.h"
 #include "host/experiment.h"
 #include "host/ssd.h"
@@ -298,6 +302,141 @@ TEST(MultiTenantTest, BenignTenantsAloneStayBelowThreshold) {
   EXPECT_LT(r.max_score, cfg.detector.score_threshold);
   for (const wl::TenantResult& t : r.report.tenants) {
     EXPECT_EQ(t.errors, 0u) << t.name;
+  }
+}
+
+/// A device with deterministic per-lane service times and no NAND: keeps the
+/// driver-equivalence test about the driver and the engine alone.
+class LaneDevice final : public io::DeviceTarget {
+ public:
+  SimTime Now() const override { return now_; }
+  io::DispatchResult Dispatch(const IoRequest& r, std::uint64_t) override {
+    now_ = std::max(now_, r.time);
+    SimTime& busy = busy_[r.lba % 3];
+    busy = std::max(busy, now_) + 40 + CostOf(r.lba % 5, 15) +
+           (r.mode == IoMode::kWrite ? 90 : 0);
+    return {true, io::DeviceStatus::kOk, busy};
+  }
+
+ private:
+  SimTime now_ = 0;
+  SimTime busy_[3] = {};
+};
+
+/// The driver's former host phase, verbatim in effect: every pick scans all
+/// tenants for the earliest next request on an unblocked pair.
+wl::MultiTenantReport ReferenceRun(const std::vector<wl::TenantSpec>& tenants,
+                                   io::IoEngine& engine) {
+  const std::size_t n = tenants.size();
+  const std::size_t queues = engine.QueueCount();
+  wl::MultiTenantReport report;
+  report.tenants.resize(n);
+  std::vector<std::size_t> cursor(n, 0);
+  std::vector<std::uint64_t> written(n, 0);
+  std::unordered_map<std::uint32_t, std::size_t> tenant_of_ns;
+  for (std::size_t i = 0; i < n; ++i) {
+    report.tenants[i].nsid = static_cast<std::uint32_t>(i) + 1;
+    tenant_of_ns[report.tenants[i].nsid] = i;
+  }
+  auto reap_all = [&] {
+    for (std::size_t q = 0; q < queues; ++q) {
+      while (auto c = engine.PopCompletion(static_cast<io::QueueId>(q))) {
+        report.end_time = std::max(report.end_time, c->complete_time);
+        wl::TenantResult& r = report.tenants[tenant_of_ns.at(c->request.nsid)];
+        ++r.completed;
+        r.latencies.push_back(c->Latency());
+        r.complete_times.push_back(c->complete_time);
+      }
+    }
+  };
+  std::vector<char> blocked(queues, 0);
+  for (;;) {
+    std::fill(blocked.begin(), blocked.end(), 0);
+    for (;;) {
+      std::size_t best = n;
+      SimTime best_time = std::numeric_limits<SimTime>::max();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (cursor[i] >= tenants[i].requests.size() || blocked[i % queues]) {
+          continue;
+        }
+        if (tenants[i].requests[cursor[i]].time < best_time) {
+          best_time = tenants[i].requests[cursor[i]].time;
+          best = i;
+        }
+      }
+      if (best == n) break;
+      IoRequest req = tenants[best].requests[cursor[best]];
+      req.nsid = report.tenants[best].nsid;
+      const auto q = static_cast<io::QueueId>(best % queues);
+      if (!engine.TrySubmit(q, req, tenants[best].stamp_base + written[best])) {
+        ++report.tenants[best].stall_events;
+        blocked[q] = 1;
+        continue;
+      }
+      ++report.tenants[best].submitted;
+      if (req.mode == IoMode::kWrite) written[best] += req.length;
+      ++cursor[best];
+    }
+    if (!engine.Step()) {
+      bool drained = true;
+      for (std::size_t i = 0; i < n; ++i) {
+        drained = drained && cursor[i] >= tenants[i].requests.size();
+      }
+      if (drained && engine.InFlight() == 0) break;
+    }
+    reap_all();
+  }
+  return report;
+}
+
+TEST(MultiTenantTest, HeapPickReproducesLinearScanExactly) {
+  Rng rng(0xD21E);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const std::size_t n = 1 + rng.Below(12);
+    std::vector<wl::TenantSpec> tenants(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      tenants[i].name = std::to_string(i);
+      tenants[i].stamp_base = 1000 * (i + 1);
+      // Coarse due times so tenants tie often; some tenants stay idle.
+      const std::size_t count = rng.Chance(0.15) ? 0 : rng.Below(60);
+      SimTime t = CostOf(rng.Below(5), 100);
+      for (std::size_t k = 0; k < count; ++k) {
+        t += CostOf(rng.Below(4), 100);
+        tenants[i].requests.push_back(
+            {t, rng.Below(64), 1 + static_cast<std::uint32_t>(rng.Below(2)),
+             rng.Chance(0.6) ? IoMode::kWrite : IoMode::kRead});
+      }
+    }
+    io::EngineConfig ecfg;
+    ecfg.queue_count = 1 + rng.Below(5);
+    ecfg.queue.sq_depth = 1 + rng.Below(4);
+    ecfg.queue.cq_depth = rng.Chance(0.3) ? 1 : 0;  // completion-ring stalls
+
+    LaneDevice ref_device;
+    io::IoEngine ref_engine(ref_device, ecfg);
+    wl::MultiTenantReport want = ReferenceRun(tenants, ref_engine);
+
+    LaneDevice device;
+    io::IoEngine engine(device, ecfg);
+    wl::MultiTenantOptions opts;
+    opts.sample_limit = 0;
+    wl::MultiTenantReport got =
+        wl::MultiTenantDriver(tenants, opts).Run(engine);
+
+    EXPECT_EQ(got.end_time, std::max(want.end_time, got.first_submit_time));
+    EXPECT_EQ(engine.Stats().dispatched, ref_engine.Stats().dispatched);
+    EXPECT_EQ(engine.Stats().sq_rejections, ref_engine.Stats().sq_rejections);
+    EXPECT_EQ(engine.Stats().cq_stalls, ref_engine.Stats().cq_stalls);
+    for (std::size_t i = 0; i < n; ++i) {
+      const wl::TenantResult& a = got.tenants[i];
+      const wl::TenantResult& b = want.tenants[i];
+      EXPECT_EQ(a.submitted, b.submitted) << i;
+      EXPECT_EQ(a.completed, b.completed) << i;
+      EXPECT_EQ(a.stall_events, b.stall_events) << i;
+      EXPECT_EQ(a.latencies, b.latencies) << i;
+      EXPECT_EQ(a.complete_times, b.complete_times) << i;
+    }
   }
 }
 
