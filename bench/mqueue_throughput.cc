@@ -11,12 +11,11 @@
 // detector must still raise the alarm (score >= threshold) even though the
 // header stream it sees is the arbitrated interleaving of all tenants.
 //
-// Part 3 — simulation-engine throughput (ISSUE 7): wall-clock events/sec of
-// the engine itself, swept over geometry (seed vs the paper's 512 GB
-// PaperScale shape) x shard_threads, with the projected time to simulate a
-// 10M-command trace; plus the fleet-parallel dimension (N independent
-// devices across io::ParallelFor threads) where the speedup acceptance
-// lives — each instance stays bit-deterministic while the fleet scales.
+// Part 3 — simulation-engine throughput: wall-clock events/sec of the serial
+// engine itself per geometry (seed vs the paper's 512 GB PaperScale shape),
+// with the projected time to simulate a 10M-command trace; plus the
+// fleet-parallel dimension (N independent devices across io::ParallelFor
+// threads) — each instance stays bit-deterministic while the fleet scales.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -28,7 +27,7 @@
 #include "host/ssd.h"
 #include "host/ssd_target.h"
 #include "io/io_engine.h"
-#include "io/shard_runtime.h"
+#include "io/parallel_for.h"
 #include "json_writer.h"
 #include "obs/metrics.h"
 #include "workload/multi_tenant.h"
@@ -216,10 +215,9 @@ std::vector<wl::TenantSpec> EngineStreams(std::size_t queues,
 struct EngineRun {
   double wall_s = 0;
   std::uint64_t dispatched = 0;
-  std::vector<std::uint64_t> lane_ops;  ///< deferred programs per channel
 };
 
-EngineRun RunEngineOnce(const nand::Geometry& geo, std::size_t shard_threads,
+EngineRun RunEngineOnce(const nand::Geometry& geo,
                         std::size_t commands_per_queue, std::uint64_t seed) {
   constexpr std::size_t kQueues = 8;
   host::SsdConfig scfg;
@@ -231,7 +229,6 @@ EngineRun RunEngineOnce(const nand::Geometry& geo, std::size_t shard_threads,
   io::EngineConfig ecfg;
   ecfg.queue_count = kQueues;
   ecfg.queue.sq_depth = 32;
-  ecfg.shard_threads = shard_threads;
   io::IoEngine engine(target, ecfg);
   wl::MultiTenantDriver driver(EngineStreams(
       kQueues, commands_per_queue, ssd.Ftl().ExportedLbas(), seed));
@@ -239,21 +236,15 @@ EngineRun RunEngineOnce(const nand::Geometry& geo, std::size_t shard_threads,
   EngineRun run;
   const double begin = WallSeconds();
   driver.Run(engine);
-  engine.PublishShardMetrics();  // drains the lanes before the clock stops
   run.wall_s = WallSeconds() - begin;
   run.dispatched = engine.Stats().dispatched;
-  if (const io::ShardRuntime* shards = engine.Shards()) {
-    for (const io::ShardLaneStats& lane : shards->LaneStats()) {
-      run.lane_ops.push_back(lane.ops);
-    }
-  }
   return run;
 }
 
 void EngineThroughputSweep(JsonWriter& json) {
-  PrintHeader("simulation-engine throughput — events/sec vs geometry x shards");
-  std::printf("%12s %7s %12s %12s %14s\n", "geometry", "shards", "commands",
-              "events/s", "10M-cmd (s)");
+  PrintHeader("simulation-engine throughput — events/sec vs geometry");
+  std::printf("%12s %12s %12s %14s\n", "geometry", "commands", "events/s",
+              "10M-cmd (s)");
 
   // INSIDER_BENCH_REPS=1 keeps CI smokes to 80k commands; the default
   // measures 320k and the projection column scales to the 10M-command trace
@@ -269,31 +260,23 @@ void EngineThroughputSweep(JsonWriter& json) {
   };
   json.Key("engine_throughput").BeginArray();
   for (const GeoCase& gc : kGeos) {
-    for (std::size_t shards : {0u, 1u, 2u, 4u, 8u}) {
-      EngineRun run = RunEngineOnce(gc.geo, shards, kCommandsPerQueue,
-                                    0xE7E'0000 + shards);
-      const double eps = run.wall_s > 0
-                             ? static_cast<double>(run.dispatched) / run.wall_s
-                             : 0.0;
-      const double to_10m = eps > 0 ? 1e7 / eps : 0.0;
-      std::printf("%12s %7zu %12llu %12.0f %14.1f\n", gc.name, shards,
-                  static_cast<unsigned long long>(run.dispatched), eps,
-                  to_10m);
-      json.BeginObject()
-          .Field("geometry", gc.name)
-          .Field("capacity_gib",
-                 static_cast<double>(gc.geo.CapacityBytes()) /
-                     (1024.0 * 1024.0 * 1024.0))
-          .Field("shard_threads", shards)
-          .Field("commands", run.dispatched)
-          .Field("wall_s", run.wall_s)
-          .Field("events_per_sec", eps)
-          .Field("time_to_simulate_10m_cmds_s", to_10m);
-      json.Key("lane_deferred_ops").BeginArray();
-      for (std::uint64_t ops : run.lane_ops) json.Value(ops);
-      json.EndArray();
-      json.EndObject();
-    }
+    EngineRun run = RunEngineOnce(gc.geo, kCommandsPerQueue, 0xE7E'0000);
+    const double eps = run.wall_s > 0
+                           ? static_cast<double>(run.dispatched) / run.wall_s
+                           : 0.0;
+    const double to_10m = eps > 0 ? 1e7 / eps : 0.0;
+    std::printf("%12s %12llu %12.0f %14.1f\n", gc.name,
+                static_cast<unsigned long long>(run.dispatched), eps, to_10m);
+    json.BeginObject()
+        .Field("geometry", gc.name)
+        .Field("capacity_gib",
+               static_cast<double>(gc.geo.CapacityBytes()) /
+                   (1024.0 * 1024.0 * 1024.0))
+        .Field("commands", run.dispatched)
+        .Field("wall_s", run.wall_s)
+        .Field("events_per_sec", eps)
+        .Field("time_to_simulate_10m_cmds_s", to_10m)
+        .EndObject();
   }
   json.EndArray();
 }
@@ -320,7 +303,7 @@ void FleetParallelSweep(JsonWriter& json) {
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     const double begin = WallSeconds();
     io::ParallelFor(kInstances, threads, [&](std::size_t i) {
-      RunEngineOnce(geo, 0, kCommandsPerQueue, 0xF1EE7'00 + i);
+      RunEngineOnce(geo, kCommandsPerQueue, 0xF1EE7'00 + i);
     });
     const double wall_s = WallSeconds() - begin;
     if (threads == 1) baseline_s = wall_s;

@@ -1,14 +1,14 @@
 // Bump-pointer arena for hot-path simulator allocations.
 //
 // The paper-scale device materializes NAND state lazily (blocks, page
-// records, deferred-apply batches); those allocations are small, bursty, and
+// records); those allocations are small, bursty, and
 // freed only wholesale when the owner dies. A bump allocator over chained
 // slabs turns each of them into a pointer increment, and its stats hooks let
 // the footprint tests and BENCH_* artifacts report exactly how much resident
 // memory a device shape costs.
 //
-// Not thread-safe by design: each owner (a Chip, a shard lane) keeps its own
-// arena, so there is no shared allocator bottleneck to lock.
+// Not thread-safe by design: each owner (a Chip) keeps its own arena, so
+// there is no shared allocator bottleneck to lock.
 #pragma once
 
 #include <cstddef>
@@ -71,8 +71,8 @@ class ArenaAllocator {
 
   const Stats& GetStats() const { return stats_; }
 
-  /// Rewind to empty, keeping the largest slab for reuse (batch lanes reset
-  /// between epochs without churning the heap).
+  /// Rewind to empty, keeping the largest slab for reuse (resets do not
+  /// churn the heap).
   void Reset() {
     if (slabs_.size() > 1) {
       slabs_.erase(slabs_.begin(), slabs_.end() - 1);

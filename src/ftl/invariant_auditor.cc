@@ -105,10 +105,6 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   AuditReport report;
   Recorder rec(report, max_violations == 0 ? 1 : max_violations);
 
-  // The raw block peeks below bypass the per-channel sync the timed read
-  // path performs; land any payloads still staged in shard lanes first.
-  ftl.nand_.SyncAllLanes();
-
   // Raw OOB peek, bypassing the timed/ECC read path (the audit must not
   // perturb the deterministic error sequence). Returns nullptr for erased
   // and burned pages.

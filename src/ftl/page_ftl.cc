@@ -376,8 +376,6 @@ void PageFtl::ReleaseArchived(nand::Ppa ppa) {
 }
 
 const nand::PageData* PageFtl::RawPage(nand::Ppa ppa) const {
-  // PeekPage (not BlockAt().Read()) so a sharded engine's in-flight payload
-  // applications land before firmware inspects page contents.
   return nand_.PeekPage(ppa);
 }
 
@@ -937,9 +935,6 @@ void PageFtl::RecomputePendingRetire() {
 }
 
 std::size_t PageFtl::RecomputePoolsAndFrontiers() {
-  // The scan below reads block contents through the raw accessor; drain
-  // any in-flight sharded payload lanes first so it sees settled media.
-  nand_.SyncAllLanes();
   const nand::Geometry& geo = config_.geometry;
   std::size_t probe_reads = 0;
   for (auto& pool : free_blocks_by_chip_) pool.clear();
@@ -987,7 +982,6 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
 }
 
 void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
-  nand_.SyncAllLanes();  // settle sharded payload lanes before raw reads
   const nand::Geometry& geo = config_.geometry;
   // One physical version of one LBA found by the scan.
   struct Version {
@@ -1301,7 +1295,6 @@ void PageFtl::ReplayRetireEffects(std::uint32_t block_id) {
 }
 
 bool PageFtl::DeltaScan(RebuildReport& report) {
-  nand_.SyncAllLanes();  // settle sharded payload lanes before raw reads
   const nand::Geometry& geo = config_.geometry;
   struct DeltaPage {
     nand::Ppa ppa = nand::kInvalidPpa;
@@ -1482,9 +1475,6 @@ PageFtl::RebuildReport PageFtl::RebuildFromNand(SimTime now) {
   JournalBatchScope journal_scope(*this, now);
   RebuildReport report;
 
-  // The scans below read page contents directly; with a sharded engine
-  // every deferred payload must land first.
-  nand_.SyncAllLanes();
   WipeVolatileState();
   // Un-flushed journal records were DRAM too: the crash destroyed them.
   journal_.DropPending();

@@ -172,7 +172,6 @@ FleetResult RunFleet(const core::DecisionTree& tree,
   io::EngineConfig ecfg;
   ecfg.queue_count = std::max<std::size_t>(config.queue_count, 1);
   ecfg.arbiter = config.arbiter;
-  ecfg.shard_threads = config.shard_threads;
   ecfg.per_queue.resize(ecfg.queue_count);
   for (std::size_t q = 0; q < ecfg.queue_count; ++q) {
     io::QueueConfig& qc = ecfg.per_queue[q];

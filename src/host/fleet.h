@@ -54,7 +54,7 @@ struct FleetConfig {
   std::size_t queue_depth = 32;
   std::vector<std::uint32_t> queue_weights = {1, 2, 4, 8};
   io::ArbiterConfig arbiter;
-  /// Channel-sharded engine lanes (0 = serial reference execution).
+  /// Inert: read by nothing, kept only because perfbench/ still sets it.
   std::size_t shard_threads = 0;
 
   core::DetectorConfig detector;

@@ -127,28 +127,7 @@ ftl::FtlStatus Ssd::Submit(const IoRequest& request, std::uint64_t stamp_base) {
   Observe(effective);
   SimTime now = effective.time;
   for (std::uint32_t i = 0; i < request.length; ++i) {
-    ftl::FtlResult r;
-    switch (request.mode) {
-      case IoMode::kRead:
-        r = ftl_.ReadPage(request.lba + i, now);
-        break;
-      case IoMode::kWrite: {
-        nand::PageData data;
-        data.stamp = stamp_base + i;
-        r = ftl_.WritePage(request.lba + i, std::move(data), now);
-        break;
-      }
-      case IoMode::kTrim:
-        r = ftl_.TrimPage(request.lba + i, now);
-        break;
-      case IoMode::kRangeLock:
-      case IoMode::kRangeUnlock:
-        // Lock admin commands are enforced at the multi-queue frontend
-        // (io::IoEngine); a device submitted to directly has no lock table,
-        // so they complete as no-ops.
-        r = {ftl::FtlStatus::kOk, now, {}};
-        break;
-    }
+    ftl::FtlResult r = ExecutePage(request, i, stamp_base, now);
     if (!r.ok()) {
       // kUnmapped reads/trims are normal for never-written LBAs in replayed
       // traces; anything else ends the submission.
@@ -182,26 +161,7 @@ Ssd::SubmitOutcome Ssd::ExecuteAsync(const IoRequest& request,
   SubmitOutcome outcome;
   outcome.complete_time = now;
   for (std::uint32_t i = 0; i < request.length; ++i) {
-    ftl::FtlResult r;
-    switch (request.mode) {
-      case IoMode::kRead:
-        r = ftl_.ReadPage(request.lba + i, now);
-        break;
-      case IoMode::kWrite: {
-        nand::PageData data;
-        data.stamp = stamp_base + i;
-        r = ftl_.WritePage(request.lba + i, std::move(data), now);
-        break;
-      }
-      case IoMode::kTrim:
-        r = ftl_.TrimPage(request.lba + i, now);
-        break;
-      case IoMode::kRangeLock:
-      case IoMode::kRangeUnlock:
-        // See Submit(): enforced at the frontend, no-op at the device.
-        r = {ftl::FtlStatus::kOk, now, {}};
-        break;
-    }
+    ftl::FtlResult r = ExecutePage(request, i, stamp_base, now);
     if (!r.ok()) {
       if (r.status != ftl::FtlStatus::kUnmapped) {
         outcome.status = r.status;
@@ -213,6 +173,28 @@ Ssd::SubmitOutcome Ssd::ExecuteAsync(const IoRequest& request,
   }
   MaybeArmBackgroundGc();
   return outcome;
+}
+
+ftl::FtlResult Ssd::ExecutePage(const IoRequest& request, std::uint32_t i,
+                                std::uint64_t stamp_base, SimTime now) {
+  switch (request.mode) {
+    case IoMode::kRead:
+      return ftl_.ReadPage(request.lba + i, now);
+    case IoMode::kWrite: {
+      nand::PageData data;
+      data.stamp = stamp_base + i;
+      return ftl_.WritePage(request.lba + i, std::move(data), now);
+    }
+    case IoMode::kTrim:
+      return ftl_.TrimPage(request.lba + i, now);
+    case IoMode::kRangeLock:
+    case IoMode::kRangeUnlock:
+      // Lock admin commands are enforced at the multi-queue frontend
+      // (io::IoEngine); a device submitted to directly has no lock table,
+      // so they complete as no-ops.
+      return {ftl::FtlStatus::kOk, now, {}};
+  }
+  return {};
 }
 
 ftl::FtlResult Ssd::WriteBlockAt(Lba lba, nand::PageData data, SimTime now) {

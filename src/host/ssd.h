@@ -193,6 +193,11 @@ class Ssd final : public fs::BlockDevice {
   void Observe(const IoRequest& request);
   SubmitOutcome ExecuteAsync(const IoRequest& request,
                              std::uint64_t stamp_base, bool observe);
+  /// Issue block `i` of `request` to the FTL at `now` (payload stamp
+  /// `stamp_base + i`). Shared by Submit and ExecuteAsync, which differ
+  /// only in how they advance time between blocks.
+  ftl::FtlResult ExecutePage(const IoRequest& request, std::uint32_t i,
+                             std::uint64_t stamp_base, SimTime now);
   void InstallFirmwareTasks();
   /// Close detector slices up to `now` on every instance, propagating alarm
   /// transitions exactly like Observe() does for request-driven closes.

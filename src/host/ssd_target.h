@@ -40,13 +40,6 @@ class SsdTarget final : public io::DeviceTarget {
     ssd_.DrainFirmware(until);
   }
 
-  /// Sharded engine: route payload application through the channel lanes of
-  /// the runtime. Installing/removing the applier syncs outstanding work,
-  /// so switching engines never loses a payload.
-  void AttachDeferredApplier(nand::DeferredApplier* applier) override {
-    ssd_.Ftl().Nand().SetDeferredApplier(applier);
-  }
-
  private:
   static io::DeviceStatus StatusOf(ftl::FtlStatus status) {
     switch (status) {

@@ -78,11 +78,7 @@ class DeviceTarget {
   /// Default: the device has no background work.
   virtual void RunBackgroundUntil(SimTime /*until*/) {}
 
-  /// Engine with EngineConfig::shard_threads > 0: offer the device a
-  /// deferred payload applier (the channel-sharded runtime); nullptr detaches
-  /// it again (the engine is going away). Devices with no NAND array — or
-  /// that choose not to shard — ignore this, which keeps them on the serial
-  /// reference path.
+  /// Inert no-op: nothing calls it; kept only because perfbench/ overrides it.
   virtual void AttachDeferredApplier(nand::DeferredApplier* /*applier*/) {}
 };
 

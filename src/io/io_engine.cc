@@ -2,9 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <string>
-
-#include "io/shard_runtime.h"
 
 namespace insider::io {
 
@@ -36,32 +33,6 @@ IoEngine::IoEngine(DeviceTarget& device, const EngineConfig& config)
     pairs_.emplace_back(static_cast<QueueId>(i), qc);
   }
   in_flight_per_pair_.assign(config.queue_count, 0);
-  if (config.shard_threads > 0) {
-    shards_ = std::make_unique<ShardRuntime>(config.shard_threads);
-    device_.AttachDeferredApplier(shards_.get());
-  }
-}
-
-IoEngine::~IoEngine() {
-  // Detach first: the device syncs the outgoing applier, so every deferred
-  // payload lands before the workers join.
-  if (shards_ != nullptr) device_.AttachDeferredApplier(nullptr);
-}
-
-void IoEngine::PublishShardMetrics() {
-  if (shards_ == nullptr) return;
-  shards_->SyncAll();
-  if (metrics_ == nullptr) return;
-  const std::vector<ShardLaneStats>& lanes = shards_->LaneStats();
-  for (std::size_t c = 0; c < lanes.size(); ++c) {
-    const std::string prefix = "engine.shard" + std::to_string(c) + ".";
-    metrics_->GetGauge(prefix + "deferred_ops")
-        .Set(static_cast<double>(lanes[c].ops));
-    metrics_->GetGauge(prefix + "batches")
-        .Set(static_cast<double>(lanes[c].batches));
-    metrics_->GetGauge(prefix + "syncs")
-        .Set(static_cast<double>(lanes[c].syncs));
-  }
 }
 
 std::size_t IoEngine::Outstanding(QueueId q) const {

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -43,8 +42,6 @@
 
 namespace insider::io {
 
-class ShardRuntime;
-
 struct EngineConfig {
   std::size_t queue_count = 1;
   /// Default ring shape for every pair.
@@ -57,11 +54,7 @@ struct EngineConfig {
   /// DeviceStatus::kReadError is re-driven up to this many times before the
   /// error posts to the host. 0 disables retries.
   std::uint32_t max_read_retries = 2;
-  /// Worker threads of the channel-sharded execution runtime. 0 = the serial
-  /// reference path (no ShardRuntime is created, no thread ever starts) —
-  /// the sharded engine is bit-identical to this reference on stats,
-  /// completion order, detector scores, and span timelines; the differential
-  /// determinism suite enforces it.
+  /// Inert: read by nothing, kept only because perfbench/ still sets it.
   std::size_t shard_threads = 0;
 };
 
@@ -80,8 +73,6 @@ struct EngineStats {
 class IoEngine {
  public:
   IoEngine(DeviceTarget& device, const EngineConfig& config);
-  /// Detaches and joins the shard runtime (after a full payload sync).
-  ~IoEngine();
 
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
@@ -139,14 +130,6 @@ class IoEngine {
   /// never sees them, so FTL state provably cannot change.
   void AttachLockTable(version::RangeLockTable* locks) { locks_ = locks; }
 
-  /// The channel-sharded runtime, or nullptr on the serial reference path.
-  const ShardRuntime* Shards() const { return shards_.get(); }
-
-  /// Sync every shard lane and mirror its deterministic per-lane counters
-  /// into the attached metrics registry as engine.shard<c>.* gauges. No-op
-  /// without shards or metrics.
-  void PublishShardMetrics();
-
  private:
   struct InFlightEntry {
     Completion completion;
@@ -174,7 +157,6 @@ class IoEngine {
   EngineStats stats_;
   CommandId next_id_ = 1;
   std::uint32_t max_read_retries_ = 0;
-  std::unique_ptr<ShardRuntime> shards_;
 
   version::RangeLockTable* locks_ = nullptr;
 

@@ -18,17 +18,6 @@ bool Block::Program(std::uint32_t page, PageData data) {
   return true;
 }
 
-bool Block::ReserveProgram(std::uint32_t page) {
-  if (page != write_ptr_ || IsFull()) return false;
-  MaterializePages();
-  ++write_ptr_;
-  return true;
-}
-
-void Block::ApplyProgram(std::uint32_t page, PageData data) {
-  pages_[page] = std::move(data);
-}
-
 bool Block::BurnPage(std::uint32_t page) {
   if (page != write_ptr_ || IsFull()) return false;
   MaterializePages();

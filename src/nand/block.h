@@ -37,14 +37,6 @@ class Block {
   /// full block.
   bool Program(std::uint32_t page, PageData data);
 
-  /// Deferred-apply split of Program(): consume the write-pointer position
-  /// now (same rule checks), fill the payload later via ApplyProgram().
-  /// Between the two calls the page reads as a programmed page with default
-  /// contents — the shard runtime guarantees every content read syncs the
-  /// channel's apply lane first.
-  bool ReserveProgram(std::uint32_t page);
-  void ApplyProgram(std::uint32_t page, PageData data);
-
   /// A program attempt on the page at the write pointer failed: the page's
   /// cells are in an indeterminate state. The write pointer still advances
   /// (the position is consumed — NAND cannot retry in place) and the page is

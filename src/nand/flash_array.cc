@@ -122,8 +122,6 @@ bool FlashArray::SampleFault(FaultKind kind, std::uint64_t op_index,
 NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
   if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, nullptr};
   std::uint32_t chip = geo_.ChipOf(ppa);
-  // Content read: deferred payloads targeting this channel must land first.
-  SyncLane(chip);
   // Const access so reads of pristine blocks never materialize them.
   const Block& block =
       std::as_const(chips_[chip]).BlockAt(geo_.BlockOf(ppa));
@@ -178,17 +176,7 @@ NandResult FlashArray::ProgramPage(Ppa ppa, PageData data, SimTime now) {
                           latency_.channel_transfer, /*bus_first=*/true);
     return {NandStatus::kProgramFail, done, nullptr};
   }
-  if (applier_ != nullptr) {
-    // Consume the write-pointer position now; the payload lands on the
-    // channel's apply lane. Timing, counters, and the write pointer — the
-    // parts other state feeds on — are identical to the inline path.
-    if (!block.ReserveProgram(page)) {
-      return {NandStatus::kProgramOutOfOrder, now, nullptr};
-    }
-    applier_->Enqueue(
-        geo_.ChannelOfChip(chip),
-        DeferredProgram{chip, geo_.BlockOf(ppa), page, std::move(data)});
-  } else if (!block.Program(page, std::move(data))) {
+  if (!block.Program(page, std::move(data))) {
     return {NandStatus::kProgramOutOfOrder, now, nullptr};
   }
   ++counters_.page_programs;
@@ -201,9 +189,6 @@ NandResult FlashArray::EraseBlock(BlockAddr addr, SimTime now) {
   if (addr.chip >= geo_.TotalChips() || addr.block >= geo_.blocks_per_chip) {
     return {NandStatus::kBadAddress, now, nullptr};
   }
-  // Pending payloads for this channel must land before the block's page
-  // records reset — a late apply would resurrect bytes into an erased block.
-  SyncLane(addr.chip);
   std::uint64_t attempt = counters_.block_erases + counters_.erase_fails + 1;
   if (SampleFault(FaultKind::kEraseFail, attempt, now,
                   errors_.erase_fail_prob)) {
@@ -245,8 +230,6 @@ NandResult FlashArray::ProgramMetaPage(Ppa ppa, PageData data, SimTime now) {
                           latency_.channel_transfer, /*bus_first=*/true);
     return {NandStatus::kProgramFail, done, nullptr};
   }
-  // Metadata flushes are synchronous: the deferred applier is bypassed so a
-  // committed checkpoint is readable the instant the program completes.
   if (!block.Program(page, std::move(data))) {
     return {NandStatus::kProgramOutOfOrder, now, nullptr};
   }
@@ -260,7 +243,6 @@ NandResult FlashArray::EraseMetaBlock(BlockAddr addr, SimTime now) {
   if (addr.chip >= geo_.TotalChips() || addr.block >= geo_.blocks_per_chip) {
     return {NandStatus::kBadAddress, now, nullptr};
   }
-  SyncLane(addr.chip);
   std::uint64_t attempt =
       counters_.meta_block_erases + counters_.meta_erase_fails + 1;
   if (plan_.Consume(FaultKind::kMetaEraseFail, attempt, now)) {
@@ -298,20 +280,9 @@ std::uint64_t FlashArray::TotalEraseCount() const {
 
 const PageData* FlashArray::PeekPage(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return nullptr;
-  std::uint32_t chip = geo_.ChipOf(ppa);
-  SyncLane(chip);
-  const Block& block = chips_[chip].BlockAt(geo_.BlockOf(ppa));
+  const Block& block =
+      chips_[geo_.ChipOf(ppa)].BlockAt(geo_.BlockOf(ppa));
   return block.Read(geo_.PageOf(ppa));
-}
-
-void FlashArray::SetDeferredApplier(DeferredApplier* applier) {
-  if (applier_ != nullptr) applier_->SyncAll();
-  applier_ = applier;
-  if (applier_ != nullptr) applier_->Bind(*this);
-}
-
-void FlashArray::SyncAllLanes() const {
-  if (applier_ != nullptr) applier_->SyncAll();
 }
 
 std::uint64_t FlashArray::MaterializedBlocks() const {

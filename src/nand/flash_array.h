@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "nand/chip.h"
-#include "nand/deferred.h"
 #include "nand/errors.h"
 #include "nand/fault_plan.h"
 #include "nand/geometry.h"
@@ -102,8 +101,7 @@ class FlashArray {
   /// Program a reserved metadata page. Identical timing to ProgramPage but:
   /// counts under meta_page_programs, consults only the scripted plan
   /// (FaultKind::kMetaProgramFail) — never the probabilistic model or the
-  /// shared error RNG — and bypasses the deferred applier (metadata flushes
-  /// are synchronous by design).
+  /// shared error RNG.
   NandResult ProgramMetaPage(Ppa ppa, PageData data, SimTime now);
 
   /// Erase a reserved metadata block (counts under meta_block_erases;
@@ -121,34 +119,15 @@ class FlashArray {
     return power_cut_ != nullptr && power_cut_(point);
   }
 
-  /// Direct state inspection for the FTL and tests. With a deferred applier
-  /// installed this does NOT sync the channel lane — use PeekPage() for
-  /// content reads; write-pointer/erase-count queries are always current.
+  /// Direct state inspection for the FTL and tests.
   const Block& BlockAt(BlockAddr addr) const {
     return chips_[addr.chip].BlockAt(addr.block);
   }
 
   /// Zero-time content inspection (FTL tombstone peeks, rebuild scans,
-  /// tests): syncs the page's channel lane first so deferred payloads have
-  /// landed, then reads without touching the timing model. Returns nullptr
-  /// for erased/bad/invalid addresses.
+  /// tests): reads without touching the timing model. Returns nullptr for
+  /// erased/bad/invalid addresses.
   const PageData* PeekPage(Ppa ppa) const;
-
-  /// Install (or, with nullptr, remove) the deferred payload applier. The
-  /// outgoing applier is fully synced first, so switching modes never loses
-  /// a payload. See nand/deferred.h for the contract.
-  void SetDeferredApplier(DeferredApplier* applier);
-
-  /// Apply one deferred program's payload. Called by the applier, possibly
-  /// off-thread: touches only the reserved page's record, which nothing else
-  /// reads until the lane syncs.
-  void ApplyDeferred(DeferredProgram&& op) {
-    chips_[op.chip].BlockAt(op.block).ApplyProgram(op.page,
-                                                   std::move(op.data));
-  }
-
-  /// Flush every pending deferred payload (no-op with no applier).
-  void SyncAllLanes() const;
 
   bool IsProgrammed(Ppa ppa) const;
   /// Page consumed by a failed program (unreadable until the block erases).
@@ -189,11 +168,6 @@ class FlashArray {
   bool SampleFault(FaultKind kind, std::uint64_t op_index, SimTime now,
                    double prob);
 
-  /// Sync the channel lane owning `chip` before touching page contents.
-  void SyncLane(std::uint32_t chip) const {
-    if (applier_ != nullptr) applier_->Sync(geo_.ChannelOfChip(chip));
-  }
-
   Geometry geo_;
   LatencyModel latency_;
   ErrorModel errors_;
@@ -202,7 +176,6 @@ class FlashArray {
   std::vector<Chip> chips_;
   std::vector<SimTime> channel_busy_until_;
   NandCounters counters_;
-  DeferredApplier* applier_ = nullptr;
   /// Indexed by global block id; 1 = reserved metadata block.
   std::vector<std::uint8_t> meta_blocks_;
   PowerCutProbe power_cut_;

@@ -2,10 +2,10 @@
 // log-bucketed histograms.
 //
 // The registry is the one place benches and tools read performance numbers
-// from. Its histogram is deliberately *auto-ranging*: `insider::Histogram`
-// needs a priori [lo, hi) bounds and (before the out-of-band fix) silently
-// clamped escaped tails into the edge buckets. LogHistogram has no bounds to
-// misconfigure — buckets are log-spaced octaves with linear sub-buckets
+// from. Its histogram is deliberately *auto-ranging*: a fixed-bucket
+// histogram needs a priori [lo, hi) bounds, and a tail that escapes them is
+// easy to clamp into the edge buckets by mistake. LogHistogram has no bounds
+// to misconfigure — buckets are log-spaced octaves with linear sub-buckets
 // (HdrHistogram-style), grown on demand, and the only samples it cannot
 // place (negatives, astronomically large values) are counted explicitly in
 // Underflow()/Overflow() so no quantile is ever invented.

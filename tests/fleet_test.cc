@@ -195,23 +195,6 @@ TEST(FleetTest, RunFleetPopulatesDetectionMatrix) {
   EXPECT_NE(gauges.find("detector.pool.bytes"), gauges.end());
 }
 
-TEST(FleetTest, ShardedEngineMatchesSerialDetection) {
-  FleetConfig fc = SmokeFleet();
-  FleetResult serial = RunFleet(OwioTree(120.0), fc);
-  fc.shard_threads = 2;
-  FleetResult sharded = RunFleet(OwioTree(120.0), fc);
-
-  ASSERT_EQ(serial.tenants.size(), sharded.tenants.size());
-  EXPECT_EQ(serial.detected_victims, sharded.detected_victims);
-  EXPECT_EQ(serial.false_positives, sharded.false_positives);
-  for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
-    EXPECT_EQ(serial.tenants[i].detected, sharded.tenants[i].detected)
-        << serial.tenants[i].name;
-    EXPECT_EQ(serial.tenants[i].max_score, sharded.tenants[i].max_score)
-        << serial.tenants[i].name;
-  }
-}
-
 TEST(FleetTest, BudgetedFleetDegradesButKeepsDetecting) {
   FleetConfig fc = SmokeFleet();
   FleetResult unbounded = RunFleet(OwioTree(120.0), fc);

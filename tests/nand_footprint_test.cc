@@ -48,19 +48,6 @@ TEST(NandFootprintTest, BlockStorageIsLazyUntilFirstProgram) {
   EXPECT_TRUE(block.Materialized());
 }
 
-TEST(NandFootprintTest, ReserveApplySplitMatchesInlineProgram) {
-  nand::Block block(8);
-  ASSERT_TRUE(block.ReserveProgram(0));
-  EXPECT_TRUE(block.IsProgrammed(0));  // position consumed immediately
-  nand::PageData payload;
-  payload.stamp = 99;
-  block.ApplyProgram(0, std::move(payload));
-  ASSERT_NE(block.Read(0), nullptr);
-  EXPECT_EQ(block.Read(0)->stamp, 99u);
-  // Out-of-order reserve is rejected exactly like Program.
-  EXPECT_FALSE(block.ReserveProgram(5));
-}
-
 TEST(PaperScaleFootprintTest, EmptyPaperScaleArrayCostsMegabytes) {
   nand::FlashArray array(nand::Geometry::PaperScale(),
                          nand::LatencyModel::Zero());

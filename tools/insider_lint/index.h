@@ -9,7 +9,6 @@
 //     so `discarded-status` can answer "does Submit() return FtlStatus?"
 //     across files without a real C++ frontend;
 //   - brace-matched function bodies (token ranges), the scope unit for
-//     `lane-sync` (drain-before-raw-read inside one body) and
 //     `journal-hook` v2 (MutationAudit/JournalBatchScope in one scope);
 //   - expression-statement calls — `Foo(x);` / `obj.Foo(x);` where the
 //     whole statement is the call chain — which are exactly the sites

@@ -44,19 +44,11 @@ bool RawOutputApplies(const std::string& path) {
   return Contains(path, "src/") && !Contains(path, "src/common/log");
 }
 
-/// Thread primitives live only in the channel-sharded execution runtime,
-/// its arena, and the logging substrate's level atomic.
+/// Thread primitives live only in the fleet-parallel helper
+/// (io::ParallelFor) and the logging substrate's level atomic.
 bool RawThreadExempt(const std::string& path) {
-  return Contains(path, "src/io/shard_") ||
-         Contains(path, "src/common/arena") || Contains(path, "src/common/log");
-}
-
-/// lane-sync covers simulator code that consumes NAND state. The shard
-/// runtime and the flash array itself own the lane discipline (PeekPage
-/// and FlashArray's accessors drain internally).
-bool LaneSyncApplies(const std::string& path) {
-  return Contains(path, "src/") && !Contains(path, "src/io/shard_") &&
-         !Contains(path, "src/nand/");
+  return Contains(path, "src/io/parallel_for.") ||
+         Contains(path, "src/common/log");
 }
 
 /// The sanctioned cast helpers live in src/common/time.*; src/common/rng
@@ -373,9 +365,9 @@ void RuleRawThread(const FileCtx& ctx, std::vector<Finding>& out) {
     if (!QualifiedBy(toks, i, "std")) continue;
     if (kPrimitives.count(t.text) != 0 || t.text.rfind("atomic", 0) == 0) {
       Emit(out, ctx, t, "raw-thread",
-           "raw thread primitive outside the sharded execution runtime "
-           "(src/io/shard_*); simulation code is single-threaded by design "
-           "— route parallel work through io::ShardRuntime/ParallelFor");
+           "raw thread primitive outside src/io/parallel_for.*; simulation "
+           "code is single-threaded by design — run independent devices "
+           "through io::ParallelFor");
     }
   }
 }
@@ -494,35 +486,6 @@ void RuleDiscardedStatus(const FileCtx& ctx, std::vector<Finding>& out) {
                    "call to '" + call.callee + "' discards its " + what +
                        " result; handle it or cast to (void) with a comment",
                    ""});
-  }
-}
-
-void RuleLaneSync(const FileCtx& ctx, std::vector<Finding>& out) {
-  if (!LaneSyncApplies(ctx.path)) return;
-  const auto& toks = ctx.index.tokens;
-  for (const FunctionInfo& fn : ctx.index.functions) {
-    if (fn.body_end == 0) continue;
-    bool drained = false;
-    for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
-      const Token& t = toks[i];
-      if (IsComment(t)) continue;
-      if (t.kind == TokKind::kIdentifier &&
-          (t.text == "SyncAllLanes" || t.text == "SyncLane") &&
-          NextIsCall(toks, i)) {
-        drained = true;
-        continue;
-      }
-      if ((IsPunct(t, ".") || IsPunct(t, "->")) && i + 1 < fn.body_end) {
-        std::size_t r = NextCode(toks, i + 1);
-        if (r < fn.body_end && IsIdent(toks[r], "Read") &&
-            NextIsCall(toks, r) && !drained) {
-          Emit(out, ctx, toks[r], "lane-sync",
-               "raw NAND content read without a preceding lane drain in "
-               "this function; call SyncAllLanes()/SyncLane() first or use "
-               "PeekPage()");
-        }
-      }
-    }
   }
 }
 
@@ -663,7 +626,6 @@ std::vector<Finding> EvaluateFile(
   if (enabled("journal-hook")) RuleJournalHook(ctx, raw);
   if (enabled("layer-dag")) RuleLayerDag(ctx, raw);
   if (enabled("discarded-status")) RuleDiscardedStatus(ctx, raw);
-  if (enabled("lane-sync")) RuleLaneSync(ctx, raw);
   if (enabled("simtime-cast")) RuleSimtimeCast(ctx, raw);
 
   std::vector<Suppression> sups = FindSuppressions(index.tokens);
@@ -717,7 +679,7 @@ const std::vector<RuleInfo>& AllRules() {
       {"raw-output",
        "direct console output in simulator code; use INSIDER_LOG"},
       {"raw-thread",
-       "thread primitive outside the sharded runtime (src/io/shard_*)"},
+       "thread primitive outside io::ParallelFor (src/io/parallel_for.*)"},
       {"pragma-once", "header missing #pragma once"},
       {"include-cycle", "quoted project includes must form a DAG"},
       {"journal-hook",
@@ -726,8 +688,6 @@ const std::vector<RuleInfo>& AllRules() {
        "include violates the module layering table (DESIGN.md §14)"},
       {"discarded-status",
        "expression statement silently drops a returned status"},
-      {"lane-sync",
-       "raw NAND content read without a lane drain in the same function"},
       {"simtime-cast",
        "SimTime <-> raw integer static_cast outside the sanctioned helpers"},
       {"unused-suppression",

@@ -23,9 +23,10 @@
 //                      time; timestamps must be SimTime.
 //   raw-output         std::cout / stdio output in simulator code (src/)
 //                      outside src/common/log.* — use INSIDER_LOG.
-//   raw-thread         std::thread / mutex / atomic outside the sharded
-//                      execution runtime (src/io/shard_*), its arena, and
-//                      the log substrate's level atomic.
+//   raw-thread         std::thread / mutex / atomic outside the fleet
+//                      parallelism helper (src/io/parallel_for.*, i.e.
+//                      io::ParallelFor) and the log substrate's level
+//                      atomic.
 //   pragma-once        every header must carry #pragma once.
 //   include-cycle      quoted project includes must form a DAG.
 //   journal-hook       a MutationAudit instantiation must have a
@@ -41,11 +42,6 @@
 //                      FtlStatus / RebuildReport (or bool for Try* APIs)
 //                      silently drops the status. `(void)Call();` is the
 //                      sanctioned explicit discard and does not match.
-//   lane-sync          outside src/io/shard_* and src/nand/, a raw NAND
-//                      content read (`.Read(` / `BlockAt(...).Read(`) must
-//                      be preceded in the same function body by a lane
-//                      drain (SyncAllLanes / SyncLane). PeekPage self-syncs
-//                      and is the sanctioned accessor for single reads.
 //   simtime-cast       static_cast between SimTime and raw integer types
 //                      outside src/common/time.* and src/obs/ — use the
 //                      sanctioned helpers in src/common/time.h

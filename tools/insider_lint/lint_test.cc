@@ -54,7 +54,7 @@ fs::path Testdata() { return fs::path(INSIDER_LINT_TESTDATA); }
 
 TEST(InsiderLintTest, RegistryListsEveryRuleOnce) {
   const auto& rules = AllRules();
-  EXPECT_EQ(rules.size(), 14u);
+  EXPECT_EQ(rules.size(), 13u);
   std::set<std::string> ids;
   for (const RuleInfo& r : rules) {
     EXPECT_FALSE(r.summary.empty()) << r.id;
@@ -63,7 +63,6 @@ TEST(InsiderLintTest, RegistryListsEveryRuleOnce) {
   }
   EXPECT_TRUE(ids.count("layer-dag"));
   EXPECT_TRUE(ids.count("discarded-status"));
-  EXPECT_TRUE(ids.count("lane-sync"));
   EXPECT_TRUE(ids.count("simtime-cast"));
   EXPECT_TRUE(ids.count("unused-suppression"));
   EXPECT_FALSE(IsKnownRule("no-such-rule"));
@@ -160,26 +159,30 @@ TEST(InsiderLintTest, FlagsRawThreadFixture) {
   EXPECT_GE(findings.size(), 4u);
 }
 
-TEST(InsiderLintTest, RawThreadRuleExemptsTheShardRuntime) {
+TEST(InsiderLintTest, RawThreadRuleExemptsOnlyParallelForAndLog) {
   const std::string threaded =
       "std::mutex mu;\nstd::thread t;\nstd::atomic<int> n{0};\n";
   EXPECT_TRUE(HasRule(LintSource("src/ftl/page_ftl.cc", threaded),
                       "raw-thread"));
   EXPECT_TRUE(HasRule(LintSource("tests/some_test.cc", threaded),
                       "raw-thread"));
-  // The sharded runtime, its arena, and the log-level atomic are the
-  // sanctioned homes of thread primitives.
-  EXPECT_FALSE(HasRule(LintSource("src/io/shard_runtime.cc", threaded),
+  // io::ParallelFor and the log-level atomic are the sanctioned homes of
+  // thread primitives; the rest of io/ and common/ are not.
+  EXPECT_FALSE(HasRule(LintSource("src/io/parallel_for.cc", threaded),
                        "raw-thread"));
-  EXPECT_FALSE(HasRule(LintSource("src/common/arena.h", threaded),
+  EXPECT_FALSE(HasRule(LintSource("src/io/parallel_for.h", threaded),
                        "raw-thread"));
+  EXPECT_TRUE(HasRule(LintSource("src/io/io_engine.cc", threaded),
+                      "raw-thread"));
+  EXPECT_TRUE(HasRule(LintSource("src/common/arena.h", threaded),
+                      "raw-thread"));
   EXPECT_FALSE(
       HasRule(LintSource("src/common/log.cc",
                          "std::atomic<LogLevel> g_level;\n"),
               "raw-thread"));
   // Prose about std::thread does not trip the rule.
   EXPECT_FALSE(HasRule(
-      LintSource("src/nand/deferred.h", "// no std::thread here\n"),
+      LintSource("src/nand/flash_array.h", "// no std::thread here\n"),
       "raw-thread"));
 }
 
@@ -303,46 +306,6 @@ TEST(InsiderLintTest, DiscardedStatusSanctionsVoidCastAndConsumption) {
   EXPECT_FALSE(HasRule(LintSource("src/io/io_engine.cc",
                                   "void F() { Mystery(1); }\n"),
                        "discarded-status"));
-}
-
-// ---------------------------------------------------------------------------
-// lane-sync.
-// ---------------------------------------------------------------------------
-
-TEST(InsiderLintTest, FlagsLaneSyncFixture) {
-  auto findings =
-      LintSource("testdata/src/ftl/bad_lane_sync.cc",
-                 ReadFile(Testdata() / "src" / "ftl" / "bad_lane_sync.cc"));
-  // MissingDrain fires; DrainedFirst drained first and must not.
-  ASSERT_EQ(CountRule(findings, "lane-sync"), 1u);
-  EXPECT_EQ(findings.front().line, 15u) << Format(findings.front());
-}
-
-TEST(InsiderLintTest, LaneSyncScopesToSimulatorCodeOutsideTheRuntime) {
-  const std::string raw_read =
-      "void F(Nand& nand) { const Page* p = nand.BlockAt(1).Read(0); }\n";
-  EXPECT_TRUE(HasRule(LintSource("src/ftl/page_ftl.cc", raw_read),
-                      "lane-sync"));
-  // The shard runtime and the NAND accessor layer own their lane
-  // discipline; tests and tools read snapshots however they like.
-  EXPECT_FALSE(HasRule(LintSource("src/io/shard_runtime.cc", raw_read),
-                       "lane-sync"));
-  EXPECT_FALSE(HasRule(LintSource("src/nand/flash_array.cc", raw_read),
-                       "lane-sync"));
-  EXPECT_FALSE(HasRule(LintSource("tests/ftl_test.cc", raw_read),
-                       "lane-sync"));
-  // SyncLane (single-lane drain) and PeekPage both satisfy the contract.
-  EXPECT_FALSE(HasRule(
-      LintSource("src/ftl/page_ftl.cc",
-                 "void F(Nand& nand) {\n"
-                 "  nand.SyncLane(3);\n"
-                 "  const Page* p = nand.BlockAt(1).Read(0);\n"
-                 "}\n"),
-      "lane-sync"));
-  EXPECT_FALSE(HasRule(
-      LintSource("src/ftl/page_ftl.cc",
-                 "void F(Nand& nand) { Page p = nand.PeekPage(1, 0); }\n"),
-      "lane-sync"));
 }
 
 // ---------------------------------------------------------------------------
