@@ -50,6 +50,14 @@ struct CountingEntry {
   static constexpr std::size_t PackedBytes() { return 12; }
 };
 
+/// Modeled DRAM of one hash-index entry at this implementation's sizes: key
+/// + value + ~2 pointers of bucket overhead, a fair model for a
+/// closed-addressing table. Table III's bench row and the detector pool's
+/// budget both price the index with it.
+constexpr std::size_t HashIndexEntryBytes() {
+  return sizeof(Lba) + sizeof(std::uint64_t) + 2 * sizeof(void*);
+}
+
 /// Counters accumulated over one time slice and consumed by the feature
 /// extractor at the slice boundary.
 struct SliceCounters {

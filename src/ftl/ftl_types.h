@@ -46,16 +46,6 @@ enum class VictimPolicyKind {
   kCostBenefit,  ///< Rosenblum-style (1-u)/(2u) score with a wear bonus
 };
 
-/// Which allocation (write-frontier) policy the FTL instantiates.
-enum class AllocationPolicyKind {
-  kStriped,  ///< round-robin chip striping (channel/way parallelism)
-};
-
-/// Which retention rule governs how long displaced versions stay recoverable.
-enum class RetentionPolicyKind {
-  kWindow,  ///< paper rule: fixed time window + capacity-bounded queue
-};
-
 /// Durable-metadata (checkpoint + write-ahead mapping journal) knobs. Off by
 /// default: the seed device rebuilds by full OOB scan only, and every golden
 /// counter in the tier-1 suite assumes no metadata traffic.
@@ -116,10 +106,9 @@ struct FtlConfig {
   /// Background GC stops once the free pool recovers to this level
   /// (hysteresis so the task doesn't thrash around the low watermark).
   std::uint32_t gc_high_watermark_blocks = 12;
-  /// Pluggable-policy selection (defaults reproduce the seed behavior).
-  AllocationPolicyKind allocation_policy = AllocationPolicyKind::kStriped;
+  /// Victim-policy selection (the default reproduces the seed behavior).
+  /// Allocation is always striped; PageFtl::SetAllocationPolicy swaps it.
   VictimPolicyKind victim_policy = VictimPolicyKind::kGreedy;
-  RetentionPolicyKind retention_policy = RetentionPolicyKind::kWindow;
   /// Fraction of physical pages exported as logical capacity; the rest is
   /// over-provisioning for GC efficiency.
   double exported_fraction = 0.9;
@@ -261,6 +250,14 @@ enum class PageState : std::uint8_t {
   /// GC like retained pages; released only by policy pruning or eviction.
   kArchived,
 };
+
+/// A page some owner still needs: the L2P entry (kValid), the recovery
+/// queue (kRetained) or the version store (kArchived). GC relocates exactly
+/// these pages, and only these can be moved or dropped.
+constexpr bool HoldsVersion(PageState state) {
+  return state == PageState::kValid || state == PageState::kRetained ||
+         state == PageState::kArchived;
+}
 
 /// Lifecycle of an erase block with respect to grown-bad-block management.
 enum class BlockHealth : std::uint8_t {

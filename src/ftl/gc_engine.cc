@@ -22,10 +22,7 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
   for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
     nand::Ppa src = geo.MakePpa(addr.chip, addr.block, p);
     PageState st = f.page_state_.Get(src);
-    if (st != PageState::kValid && st != PageState::kRetained &&
-        st != PageState::kArchived) {
-      continue;
-    }
+    if (!HoldsVersion(st)) continue;
 
     nand::NandResult rd = f.nand_.ReadPage(src, now);
     now = rd.complete_time;
@@ -37,22 +34,7 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
       // a retained page loses its backup; an archived page loses every
       // version record that referenced its content.
       ++f.stats_.gc_lost_pages;
-      Lba lost_lba = f.p2l_.Get(src);
-      BlockCounters& info = f.block_counters_[block_id];
-      if (st == PageState::kValid) {
-        if (lost_lba != kInvalidLba) f.l2p_.Set(lost_lba, nand::kInvalidPpa);
-        --info.valid;
-        --f.valid_pages_;
-      } else if (st == PageState::kArchived) {
-        f.stats_.archived_lost += f.store_.DropPpa(src);
-        --info.archived;
-        --f.archived_pages_;
-      } else if (f.queue_.Drop(src)) {
-        --info.retained;
-        --f.retained_pages_;
-      }
-      f.page_state_.Set(src, PageState::kInvalid);
-      f.p2l_.Set(src, kInvalidLba);
+      f.stats_.archived_lost += f.DropPage(src);
       f.JournalAppend({JournalOpKind::kDrop, /*flag=*/false, 0, src,
                        nand::kInvalidPpa, 0, now, 0});
       continue;
@@ -67,32 +49,10 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
     }
 
     ++f.stats_.gc_page_copies;
-    Lba lba = f.p2l_.Get(src);
-    f.p2l_.Set(dst, lba);
-    f.page_state_.Set(dst, st);
-    BlockCounters& dst_info = f.block_counters_[f.BlockIdOf(dst)];
-    BlockCounters& src_info = f.block_counters_[block_id];
-    if (st == PageState::kValid) {
-      ++dst_info.valid;
-      --src_info.valid;
-      assert(lba != kInvalidLba);
-      f.l2p_.Set(lba, dst);
-    } else if (st == PageState::kArchived) {
-      ++dst_info.archived;
-      --src_info.archived;
-      bool moved = f.store_.Relocate(src, dst);
-      assert(moved);
-      (void)moved;
-    } else {
-      ++f.stats_.gc_retained_copies;
-      ++dst_info.retained;
-      --src_info.retained;
-      bool relocated = f.queue_.Relocate(src, dst);
-      assert(relocated);
-      (void)relocated;
-    }
-    f.page_state_.Set(src, PageState::kInvalid);
-    f.p2l_.Set(src, kInvalidLba);
+    if (st == PageState::kRetained) ++f.stats_.gc_retained_copies;
+    bool moved = f.MovePage(src, dst);
+    assert(moved);
+    (void)moved;
     // `write_seq_` is exactly the destination page's OOB sequence here: the
     // re-drive loop journals its own kBurn consumption records.
     f.JournalAppend({JournalOpKind::kRelocate, /*flag=*/false, 0, src, dst,
@@ -192,8 +152,9 @@ bool GcEngine::EnsureFreeSpace(SimTime& now) {
       // their recoverability, as a capacity-bounded queue would) so GC can
       // make progress; otherwise the device is genuinely full.
       if (f.config_.delayed_deletion && !f.queue_.Empty()) {
-        std::uint32_t batch =
-            f.retention_->ForcedReleaseBatch(f.config_.geometry);
+        // One erase block's worth, so a forced round can actually make a
+        // block reclaimable.
+        const std::uint32_t batch = f.config_.geometry.pages_per_block;
         for (std::uint32_t i = 0; i < batch; ++i) {
           std::optional<BackupEntry> e = f.queue_.PopOldest();
           if (!e) break;
@@ -208,8 +169,7 @@ bool GcEngine::EnsureFreeSpace(SimTime& now) {
       // sacrifice the oldest versions next — protected ranges degrade last,
       // but they do degrade before the device refuses writes.
       if (f.store_.VersionCount() > 0) {
-        std::uint32_t batch =
-            f.retention_->ForcedReleaseBatch(f.config_.geometry);
+        const std::uint32_t batch = f.config_.geometry.pages_per_block;
         std::size_t freed = f.store_.EvictOldest(
             batch, [&f](nand::Ppa p) {
               f.ReleaseArchived(p);

@@ -152,24 +152,22 @@ PageFtl::PageFtl(const FtlConfig& config)
       queue_(config.recovery_queue_capacity),
       allocation_(MakeAllocationPolicy(config)),
       victim_(MakeVictimPolicy(config)),
-      retention_(nullptr),
+      retention_error_(ValidateRetentionConfig(config)),
+      retention_window_(retention_error_.ok() ? config.retention_window
+                                              : Seconds(10)),
       // A config the validator rejects must not half-enable versioning: the
       // store only receives the policy table when the config is sound.
-      store_(ValidateRetentionConfig(config).ok() ? config.range_policies
-                                                  : nullptr),
+      store_(retention_error_.ok() ? config.range_policies : nullptr),
       view_(config_.geometry, blocks_, victims_, block_counters_,
             active_block_per_chip_, free_blocks_by_chip_, block_health_),
       gc_(*this) {
-  retention_ = MakeRetentionPolicy(config_, &retention_error_);
-  if (retention_ == nullptr) {
+  if (!retention_error_.ok()) {
     // A config that would retain nothing defeats the device's whole purpose;
-    // refuse it loudly and run with the paper's default instead of silently
-    // constructing a no-op policy.
+    // refuse it loudly and run with the paper's default window instead.
     INSIDER_LOG_ERROR << "rejected retention config ("
                       << ToString(retention_error_.issue) << ": "
                       << retention_error_.detail
-                      << "); falling back to the 10 s window policy";
-    retention_ = std::make_unique<WindowRetentionPolicy>(Seconds(10));
+                      << "); falling back to the 10 s window";
   }
   nand_.SetFaultPlan(config_.fault_plan);
   const nand::Geometry& geo = config_.geometry;
@@ -242,11 +240,6 @@ void PageFtl::SetAllocationPolicy(std::unique_ptr<AllocationPolicy> policy) {
 void PageFtl::SetVictimPolicy(std::unique_ptr<VictimPolicy> policy) {
   assert(policy);
   victim_ = std::move(policy);
-}
-
-void PageFtl::SetRetentionPolicy(std::unique_ptr<RetentionPolicy> policy) {
-  assert(policy);
-  retention_ = std::move(policy);
 }
 
 bool PageFtl::IsActiveBlock(std::uint32_t block_id) const {
@@ -386,7 +379,7 @@ void PageFtl::ReleaseExpired(SimTime now) {
   const std::size_t ring_before = queue_.Size();
   const std::size_t trims_before = trim_journal_.size();
   const std::size_t store_before = store_.VersionCount();
-  SimTime horizon = retention_->ExpiryHorizon(now);
+  SimTime horizon = now - retention_window_;
   last_release_horizon_ = std::max(last_release_horizon_, horizon);
   queue_.ReleaseUpTo(horizon, [this, now](const BackupEntry& e) {
     ReleaseBackup(e, now);
@@ -460,6 +453,93 @@ void PageFtl::Retire(Lba lba, nand::Ppa old_ppa, SimTime now) {
   }
 }
 
+bool PageFtl::MovePage(nand::Ppa src, nand::Ppa dst) {
+  const PageState st = page_state_.Get(src);
+  const Lba lba = p2l_.Get(src);
+  BlockCounters& src_info = block_counters_[BlockIdOf(src)];
+  BlockCounters& dst_info = block_counters_[BlockIdOf(dst)];
+  switch (st) {
+    case PageState::kValid:
+      if (lba == kInvalidLba) return false;
+      l2p_.Set(lba, dst);
+      --src_info.valid;
+      ++dst_info.valid;
+      break;
+    case PageState::kRetained:
+      if (!queue_.Relocate(src, dst)) return false;
+      --src_info.retained;
+      ++dst_info.retained;
+      break;
+    case PageState::kArchived:
+      if (!store_.Relocate(src, dst)) return false;
+      --src_info.archived;
+      ++dst_info.archived;
+      break;
+    default:
+      return false;
+  }
+  page_state_.Set(dst, st);
+  p2l_.Set(dst, lba);
+  page_state_.Set(src, PageState::kInvalid);
+  p2l_.Set(src, kInvalidLba);
+  return true;
+}
+
+std::size_t PageFtl::DropPage(nand::Ppa src) {
+  const PageState st = page_state_.Get(src);
+  BlockCounters& info = block_counters_[BlockIdOf(src)];
+  std::size_t dropped_records = 0;
+  switch (st) {
+    case PageState::kValid:
+      if (Lba lba = p2l_.Get(src); lba != kInvalidLba) {
+        l2p_.Set(lba, nand::kInvalidPpa);
+      }
+      --info.valid;
+      --valid_pages_;
+      break;
+    case PageState::kRetained:
+      if (queue_.Drop(src)) {
+        --info.retained;
+        --retained_pages_;
+      }
+      break;
+    case PageState::kArchived:
+      dropped_records = store_.DropPpa(src);
+      --info.archived;
+      --archived_pages_;
+      break;
+    default:
+      assert(false && "DropPage on a page that holds no version");
+      break;
+  }
+  page_state_.Set(src, PageState::kInvalid);
+  p2l_.Set(src, kInvalidLba);
+  return dropped_records;
+}
+
+void PageFtl::MapVersion(Lba lba, nand::Ppa ppa, SimTime displaced_at) {
+  const nand::Ppa old = l2p_.Get(lba);
+  if (old != nand::kInvalidPpa) Retire(lba, old, displaced_at);
+  l2p_.Set(lba, ppa);
+  p2l_.Set(ppa, lba);
+  page_state_.Set(ppa, PageState::kValid);
+  ++block_counters_[BlockIdOf(ppa)].valid;
+  ++valid_pages_;
+}
+
+void PageFtl::ClearRetiredBlock(std::uint32_t block_id) {
+  const nand::Geometry& geo = config_.geometry;
+  nand::BlockAddr addr = AddrOfBlockId(block_id);
+  const nand::Block& blk = nand_.BlockAt(addr);
+  for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
+    nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
+    page_state_.Set(ppa,
+                    blk.IsProgrammed(p) ? PageState::kBad : PageState::kFree);
+    p2l_.Set(ppa, kInvalidLba);
+  }
+  block_counters_[block_id] = BlockCounters{};
+}
+
 nand::Ppa PageFtl::ProgramWithRedrive(nand::PageData data, SimTime& now) {
   for (;;) {
     nand::Ppa ppa = AllocatePage();
@@ -506,17 +586,10 @@ void PageFtl::MarkPendingRetire(std::uint32_t block_id) {
 }
 
 void PageFtl::RetireBlock(std::uint32_t block_id) {
-  const nand::Geometry& geo = config_.geometry;
-  nand::BlockAddr addr = AddrOfBlockId(block_id);
-  const nand::Block& blk = nand_.BlockAt(addr);
-  for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
-    nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
-    page_state_.Set(ppa, blk.IsProgrammed(p) ? PageState::kBad : PageState::kFree);
-    p2l_.Set(ppa, kInvalidLba);
-  }
-  block_counters_[block_id] = BlockCounters{};  // caller evacuated live pages
-  if (active_block_per_chip_[addr.chip] == block_id) {
-    active_block_per_chip_[addr.chip] = kNoActiveBlock;
+  ClearRetiredBlock(block_id);  // the caller evacuated its live pages
+  const std::uint32_t chip = AddrOfBlockId(block_id).chip;
+  if (active_block_per_chip_[chip] == block_id) {
+    active_block_per_chip_[chip] = kNoActiveBlock;
   }
   if (block_health_[block_id] == BlockHealth::kHealthy) {
     ++out_of_service_blocks_;  // direct retirement (erase fault)
@@ -558,13 +631,7 @@ FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
     return {FtlStatus::kNoSpace, now, {}};
   }
 
-  nand::Ppa old = l2p_.Get(lba);
-  if (old != nand::kInvalidPpa) Retire(lba, old, now);
-  l2p_.Set(lba, ppa);
-  p2l_.Set(ppa, lba);
-  page_state_.Set(ppa, PageState::kValid);
-  ++block_counters_[BlockIdOf(ppa)].valid;
-  ++valid_pages_;
+  MapVersion(lba, ppa, now);
   ++stats_.host_writes;
   JournalAppend({JournalOpKind::kMap, /*flag=*/false, lba, ppa,
                  nand::kInvalidPpa, write_seq_, written_at, now});
@@ -631,13 +698,9 @@ FtlResult PageFtl::TrimPage(Lba lba, SimTime now) {
     const SimTime written_at = now;
     nand::Ppa tppa = ProgramWithRedrive(std::move(tomb), now);
     if (tppa != nand::kInvalidPpa) {
-      old = l2p_.Get(lba);  // GC above may have relocated the current version
-      Retire(lba, old, now);
-      l2p_.Set(lba, tppa);
-      p2l_.Set(tppa, lba);
-      page_state_.Set(tppa, PageState::kValid);
-      ++block_counters_[BlockIdOf(tppa)].valid;
-      ++valid_pages_;
+      // Re-reads the mapping: GC above may have relocated the current
+      // version.
+      MapVersion(lba, tppa, now);
       trim_journal_.push_back({now, lba});
       ++stats_.trim_tombstones;
       ++stats_.host_trims;
@@ -688,7 +751,7 @@ std::optional<nand::Ppa> PageFtl::Lookup(Lba lba) const {
 
 std::size_t PageFtl::RollBackCore(SimTime detect_time,
                                   std::vector<Lba>* touched_out) {
-  SimTime horizon = detect_time - config_.retention_window;
+  SimTime horizon = detect_time - retention_window_;
   std::unordered_set<Lba> touched;
   std::size_t reverted = queue_.RollBack(
       horizon, [this, &touched](const BackupEntry& e) {
@@ -848,13 +911,7 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
       ++report.failed;
       continue;
     }
-    const nand::Ppa displaced = l2p_.Get(lba);  // GC may have moved it
-    if (displaced != nand::kInvalidPpa) Retire(lba, displaced, now);
-    l2p_.Set(lba, fresh);
-    p2l_.Set(fresh, lba);
-    page_state_.Set(fresh, PageState::kValid);
-    ++block_counters_[BlockIdOf(fresh)].valid;
-    ++valid_pages_;
+    MapVersion(lba, fresh, now);  // re-reads the mapping GC may have moved
     JournalAppend({JournalOpKind::kMap, /*flag=*/false, lba, fresh,
                    nand::kInvalidPpa, write_seq_, written_at, now});
     ++report.restored;
@@ -998,10 +1055,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
     const nand::Block& blk = nand_.BlockAt(addr);
     if (block_health_[b] == BlockHealth::kRetired) {
       // Out of service: the bad-block table says never touch it again.
-      for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
-        nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
-        page_state_.Set(ppa, blk.IsProgrammed(p) ? PageState::kBad : PageState::kFree);
-      }
+      ClearRetiredBlock(b);
       ++report.blocks_retired;
       continue;
     }
@@ -1063,11 +1117,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
     // trim being replayed: it stays mapped (host-visibly unmapped) and
     // rejoins the trim journal so the window still ages it out.
     const Version* newest = live.back();
-    l2p_.Set(lba, newest->ppa);
-    p2l_.Set(newest->ppa, lba);
-    page_state_.Set(newest->ppa, PageState::kValid);
-    ++block_counters_[BlockIdOf(newest->ppa)].valid;
-    ++valid_pages_;
+    MapVersion(lba, newest->ppa, newest->written_at);
     if (newest->data->oob.tombstone) {
       rebuilt_trims.push_back({newest->written_at, lba});
     } else {
@@ -1126,15 +1176,11 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
         return false;
       }
       nand::Ppa old = l2p_.Get(rec.lba);
-      if (old != nand::kInvalidPpa) {
-        if (page_state_.Get(old) != PageState::kValid) return false;
-        Retire(rec.lba, old, rec.t2);
+      if (old != nand::kInvalidPpa &&
+          page_state_.Get(old) != PageState::kValid) {
+        return false;
       }
-      l2p_.Set(rec.lba, rec.ppa);
-      p2l_.Set(rec.ppa, rec.lba);
-      page_state_.Set(rec.ppa, PageState::kValid);
-      ++block_counters_[BlockIdOf(rec.ppa)].valid;
-      ++valid_pages_;
+      MapVersion(rec.lba, rec.ppa, rec.t2);
       write_seq_ = std::max(write_seq_, rec.seq);
       if (rec.flag) trim_journal_.push_back({rec.t2, rec.lba});
       return true;
@@ -1161,67 +1207,20 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       return true;
     }
     case JournalOpKind::kRelocate: {
-      nand::Ppa src = rec.ppa;
-      nand::Ppa dst = rec.ppa2;
-      if (src == nand::kInvalidPpa || dst == nand::kInvalidPpa ||
-          page_state_.Get(dst) != PageState::kFree) {
+      if (rec.ppa == nand::kInvalidPpa || rec.ppa2 == nand::kInvalidPpa ||
+          page_state_.Get(rec.ppa2) != PageState::kFree ||
+          !MovePage(rec.ppa, rec.ppa2)) {
         return false;
       }
-      PageState st = page_state_.Get(src);
-      Lba lba = p2l_.Get(src);
-      BlockCounters& src_info = block_counters_[BlockIdOf(src)];
-      BlockCounters& dst_info = block_counters_[BlockIdOf(dst)];
-      switch (st) {
-        case PageState::kValid:
-          if (lba == kInvalidLba) return false;
-          l2p_.Set(lba, dst);
-          --src_info.valid;
-          ++dst_info.valid;
-          break;
-        case PageState::kRetained:
-          if (!queue_.Relocate(src, dst)) return false;
-          --src_info.retained;
-          ++dst_info.retained;
-          break;
-        case PageState::kArchived:
-          if (!store_.Relocate(src, dst)) return false;
-          --src_info.archived;
-          ++dst_info.archived;
-          break;
-        default:
-          return false;
-      }
-      page_state_.Set(dst, st);
-      p2l_.Set(dst, lba);
-      page_state_.Set(src, PageState::kInvalid);
-      p2l_.Set(src, kInvalidLba);
       write_seq_ = std::max(write_seq_, rec.seq);
       return true;
     }
     case JournalOpKind::kDrop: {
-      nand::Ppa src = rec.ppa;
-      if (src == nand::kInvalidPpa) return false;
-      PageState st = page_state_.Get(src);
-      Lba lba = p2l_.Get(src);
-      BlockCounters& info = block_counters_[BlockIdOf(src)];
-      if (st == PageState::kValid) {
-        if (lba != kInvalidLba) l2p_.Set(lba, nand::kInvalidPpa);
-        --info.valid;
-        --valid_pages_;
-      } else if (st == PageState::kArchived) {
-        store_.DropPpa(src);
-        --info.archived;
-        --archived_pages_;
-      } else if (st == PageState::kRetained) {
-        if (queue_.Drop(src)) {
-          --info.retained;
-          --retained_pages_;
-        }
-      } else {
+      if (rec.ppa == nand::kInvalidPpa ||
+          !HoldsVersion(page_state_.Get(rec.ppa))) {
         return false;
       }
-      page_state_.Set(src, PageState::kInvalid);
-      p2l_.Set(src, kInvalidLba);
+      DropPage(rec.ppa);
       return true;
     }
     case JournalOpKind::kEraseIntent: {
@@ -1246,7 +1245,7 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       // flush and the erase — they are one synchronous sequence, and the
       // power-cut probe only fires inside flushes).
       if (block_health_[block_id] == BlockHealth::kHealthy) return false;
-      ReplayRetireEffects(block_id);
+      ClearRetiredBlock(block_id);
       return true;
     }
     case JournalOpKind::kRetireBlock: {
@@ -1255,7 +1254,7 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
           block_health_[block_id] == BlockHealth::kHealthy) {
         return false;
       }
-      ReplayRetireEffects(block_id);
+      ClearRetiredBlock(block_id);
       return true;
     }
     case JournalOpKind::kRelease:
@@ -1279,19 +1278,6 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       return true;
   }
   return false;
-}
-
-void PageFtl::ReplayRetireEffects(std::uint32_t block_id) {
-  const nand::Geometry& geo = config_.geometry;
-  nand::BlockAddr addr = AddrOfBlockId(block_id);
-  const nand::Block& blk = nand_.BlockAt(addr);
-  for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
-    nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
-    page_state_.Set(ppa,
-                    blk.IsProgrammed(p) ? PageState::kBad : PageState::kFree);
-    p2l_.Set(ppa, kInvalidLba);
-  }
-  block_counters_[block_id] = BlockCounters{};  // evacuated before retiring
 }
 
 bool PageFtl::DeltaScan(RebuildReport& report) {
@@ -1371,14 +1357,10 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     if (cur_data != nullptr && cur_data->oob.written_at == oob.written_at &&
         cur_data->oob.tombstone == oob.tombstone &&
         cur_data->SamePayload(*dp.data)) {
-      if (page_state_.Get(cur) != PageState::kValid) return false;
-      page_state_.Set(cur, PageState::kInvalid);
-      p2l_.Set(cur, kInvalidLba);
-      --block_counters_[BlockIdOf(cur)].valid;
-      l2p_.Set(oob.lba, dp.ppa);
-      p2l_.Set(dp.ppa, oob.lba);
-      page_state_.Set(dp.ppa, PageState::kValid);
-      ++block_counters_[BlockIdOf(dp.ppa)].valid;
+      if (page_state_.Get(cur) != PageState::kValid ||
+          !MovePage(cur, dp.ppa)) {
+        return false;
+      }
       continue;
     }
     if (auto it = ring_index.find({oob.lba, oob.written_at});
@@ -1389,15 +1371,9 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
           src_data->oob.tombstone == oob.tombstone &&
           src_data->SamePayload(*dp.data)) {
         if (page_state_.Get(src) != PageState::kRetained ||
-            !queue_.Relocate(src, dp.ppa)) {
+            !MovePage(src, dp.ppa)) {
           return false;
         }
-        page_state_.Set(src, PageState::kInvalid);
-        p2l_.Set(src, kInvalidLba);
-        --block_counters_[BlockIdOf(src)].retained;
-        page_state_.Set(dp.ppa, PageState::kRetained);
-        p2l_.Set(dp.ppa, oob.lba);
-        ++block_counters_[BlockIdOf(dp.ppa)].retained;
         it->second = dp.ppa;
         continue;
       }
@@ -1412,15 +1388,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
         if (src_data != nullptr &&
             src_data->oob.written_at == oob.written_at &&
             src_data->SamePayload(*dp.data)) {
-          nand::Ppa src = *obj;
-          Lba tag = p2l_.Get(src);
-          if (!store_.Relocate(src, dp.ppa)) return false;
-          page_state_.Set(src, PageState::kInvalid);
-          p2l_.Set(src, kInvalidLba);
-          --block_counters_[BlockIdOf(src)].archived;
-          page_state_.Set(dp.ppa, PageState::kArchived);
-          p2l_.Set(dp.ppa, tag);
-          ++block_counters_[BlockIdOf(dp.ppa)].archived;
+          if (!MovePage(*obj, dp.ppa)) return false;
           continue;
         }
       }
@@ -1429,15 +1397,11 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     // A genuinely new version: apply it like the live overwrite did, with
     // the displacement clock at the displacing version's write time.
     nand::Ppa old = l2p_.Get(oob.lba);
-    if (old != nand::kInvalidPpa) {
-      if (page_state_.Get(old) != PageState::kValid) return false;
-      Retire(oob.lba, old, oob.written_at);
+    if (old != nand::kInvalidPpa &&
+        page_state_.Get(old) != PageState::kValid) {
+      return false;
     }
-    l2p_.Set(oob.lba, dp.ppa);
-    p2l_.Set(dp.ppa, oob.lba);
-    page_state_.Set(dp.ppa, PageState::kValid);
-    ++block_counters_[BlockIdOf(dp.ppa)].valid;
-    ++valid_pages_;
+    MapVersion(oob.lba, dp.ppa, oob.written_at);
     if (oob.tombstone) trim_journal_.push_back({oob.written_at, oob.lba});
   }
 
@@ -1453,19 +1417,13 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     if (nand_.IsMetadataBlock(b)) continue;
     if (block_health_[b] != BlockHealth::kRetired) continue;
     nand::BlockAddr addr = AddrOfBlockId(b);
-    const nand::Block& blk = nand_.BlockAt(addr);
     for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
-      nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
-      PageState st = page_state_.Get(ppa);
-      if (st == PageState::kValid || st == PageState::kRetained ||
-          st == PageState::kArchived) {
+      if (HoldsVersion(
+              page_state_.Get(geo.MakePpa(addr.chip, addr.block, p)))) {
         return false;
       }
-      page_state_.Set(ppa, blk.IsProgrammed(p) ? PageState::kBad
-                                               : PageState::kFree);
-      p2l_.Set(ppa, kInvalidLba);
     }
-    block_counters_[b] = BlockCounters{};
+    ClearRetiredBlock(b);
   }
   return true;
 }

@@ -19,12 +19,17 @@
 //
 //   AllocationPolicy  which chip's write frontier takes the next page
 //   VictimPolicy      which full block GC reclaims next
-//   RetentionPolicy   how long displaced versions stay recoverable
 //   GcEngine          the reclamation mechanics (foreground / background /
 //                     idle), driving the policies above
 //
-// Defaults (striped / greedy / window) reproduce the pre-split monolith
-// stat-for-stat — the gc_policy parity test pins this.
+// Defaults (striped / greedy) reproduce the pre-split monolith stat-for-stat
+// — the gc_policy parity test pins this.
+//
+// Every change to a page's owner (the L2P entry, the recovery queue or the
+// version store) goes through four private transitions — MovePage,
+// DropPage, MapVersion and ClearRetiredBlock — shared by the live path, GC,
+// journal replay and both rebuild scans, so a crash path cannot drift from
+// the live one.
 #pragma once
 
 #include <cstdint>
@@ -150,13 +155,11 @@ class PageFtl {
   // Policy plumbing ------------------------------------------------------
 
   /// Swap a policy at runtime (experiments sweep these). The default
-  /// instances are built from the FtlConfig enums.
+  /// instances are built from the FtlConfig.
   void SetAllocationPolicy(std::unique_ptr<AllocationPolicy> policy);
   void SetVictimPolicy(std::unique_ptr<VictimPolicy> policy);
-  void SetRetentionPolicy(std::unique_ptr<RetentionPolicy> policy);
   const AllocationPolicy& Allocation() const { return *allocation_; }
   const VictimPolicy& Victim() const { return *victim_; }
-  const RetentionPolicy& Retention() const { return *retention_; }
 
   // Background / idle reclamation ---------------------------------------
 
@@ -181,9 +184,9 @@ class PageFtl {
   std::size_t IdleCollect(SimTime now, std::size_t max_blocks,
                           std::uint32_t max_movable = 8);
 
-  /// Release recovery-queue entries older than the retention policy's
-  /// horizon. The I/O paths call this implicitly; exposed so the firmware
-  /// scheduler can age backups out during idle time too.
+  /// Release recovery-queue entries older than the retention window. The
+  /// I/O paths call this implicitly; exposed so the firmware scheduler can
+  /// age backups out during idle time too.
   void ReleaseExpired(SimTime now);
 
   // Introspection -------------------------------------------------------
@@ -220,7 +223,7 @@ class PageFtl {
   const version::VersionStore& Store() const { return store_; }
   /// Outcome of validating FtlConfig's retention settings at construction.
   /// On rejection the FTL logged the issue and fell back to the paper's
-  /// 10 s window policy rather than running with no-op retention.
+  /// 10 s window rather than running with no-op retention.
   const RetentionConfigError& RetentionConfigStatus() const {
     return retention_error_;
   }
@@ -347,9 +350,6 @@ class PageFtl {
   /// Apply one replayed record to DRAM state. False = the record contradicts
   /// media (rebuild falls back to the full scan).
   bool ReplayJournalRecord(const JournalRecord& rec);
-  /// Retire-block replay effects shared by kRetireBlock and the erase-intent
-  /// else-branch: programmed pages bad, rest free, tags cleared.
-  void ReplayRetireEffects(std::uint32_t block_id);
   /// OOB-scan only pages programmed past the replayed horizon (per block:
   /// positions >= the count of non-free page states). False = media
   /// contradicts the replayed state.
@@ -372,6 +372,25 @@ class PageFtl {
   /// for a chip, open a fresh block there if the active one is full. Returns
   /// kInvalidPpa if every chip is out of free blocks and full.
   nand::Ppa AllocatePage();
+
+  // Page-state transitions. Each changes mapping state and nothing else:
+  // callers keep their own checks, journal records, stats, trace events and
+  // RefreshVictim calls.
+
+  /// Move a valid, retained or archived page from `src` to the free page
+  /// `dst`; its owner (L2P entry, recovery queue or version store) follows.
+  /// False, with nothing changed, when `src` holds no version or its owner
+  /// does not know it.
+  bool MovePage(nand::Ppa src, nand::Ppa dst);
+  /// A valid, retained or archived page is lost; its owner forgets it.
+  /// Returns the version records the store dropped with it.
+  std::size_t DropPage(nand::Ppa src);
+  /// Retire `lba`'s current version, if it has one, at `displaced_at`, then
+  /// make the programmed page `ppa` current.
+  void MapVersion(Lba lba, nand::Ppa ppa, SimTime displaced_at);
+  /// A retired block's mapping state: programmed pages bad, the rest free,
+  /// reverse map and counters cleared (its live pages left beforehand).
+  void ClearRetiredBlock(std::uint32_t block_id);
 
   void MarkInvalid(nand::Ppa ppa);
   void Retire(Lba lba, nand::Ppa old_ppa, SimTime now);
@@ -466,10 +485,12 @@ class PageFtl {
 
   std::unique_ptr<AllocationPolicy> allocation_;
   std::unique_ptr<VictimPolicy> victim_;
-  std::unique_ptr<RetentionPolicy> retention_;
-  /// Why MakeRetentionPolicy rejected the config, if it did (the ctor then
-  /// falls back to the paper-default window policy).
+  /// Why ValidateRetentionConfig rejected the config, if it did.
   RetentionConfigError retention_error_;
+  /// The validated retention window: FtlConfig::retention_window, or the
+  /// paper's 10 s when the config was rejected. Release and rollback both
+  /// read this, never the raw config.
+  SimTime retention_window_;
   /// Long-term home of protected ranges' old versions (ftl_types.h
   /// range_policies); inert when no ranges are configured.
   version::VersionStore store_;

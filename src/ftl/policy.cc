@@ -59,11 +59,7 @@ std::uint32_t CostBenefitVictimPolicy::SelectVictim(
 }
 
 std::unique_ptr<AllocationPolicy> MakeAllocationPolicy(
-    const FtlConfig& config) {
-  switch (config.allocation_policy) {
-    case AllocationPolicyKind::kStriped:
-      break;
-  }
+    const FtlConfig& /*config*/) {
   return std::make_unique<StripedAllocationPolicy>();
 }
 
@@ -117,18 +113,6 @@ RetentionConfigError ValidateRetentionConfig(const FtlConfig& config) {
     }
   }
   return {};
-}
-
-std::unique_ptr<RetentionPolicy> MakeRetentionPolicy(
-    const FtlConfig& config, RetentionConfigError* error) {
-  RetentionConfigError check = ValidateRetentionConfig(config);
-  if (error != nullptr) *error = check;
-  if (!check.ok()) return nullptr;
-  switch (config.retention_policy) {
-    case RetentionPolicyKind::kWindow:
-      break;
-  }
-  return std::make_unique<WindowRetentionPolicy>(config.retention_window);
 }
 
 }  // namespace insider::ftl

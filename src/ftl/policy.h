@@ -3,9 +3,9 @@
 // The mapping core (page_ftl.h) keeps the translation state and the I/O
 // mechanics; *what* to do with the freedom those mechanics leave — which
 // chip's write frontier supplies the next page, which full block GC should
-// reclaim, how long displaced versions stay recoverable — is delegated to
-// three small policy interfaces, the way log-structured systems expose
-// selectable cleaning policies (LightNVM targets, F2FS victim selection).
+// reclaim — is delegated to two small policy interfaces, the way
+// log-structured systems expose selectable cleaning policies (LightNVM
+// targets, F2FS victim selection).
 //
 // Policies see the core through PolicyView, a read-only window over the
 // FTL-owned dense block state (block_table.h): per-block counters, the
@@ -195,42 +195,7 @@ class CostBenefitVictimPolicy final : public VictimPolicy {
 };
 
 // ---------------------------------------------------------------------------
-// Retention policy: how long displaced versions stay recoverable.
-
-class RetentionPolicy {
- public:
-  virtual ~RetentionPolicy() = default;
-  virtual const char* Name() const = 0;
-
-  /// Backups written at or before this horizon have aged out and are
-  /// released to the GC. The paper's rule: now - retention_window.
-  virtual SimTime ExpiryHorizon(SimTime now) const = 0;
-
-  /// How many of the oldest backups to sacrifice per attempt when GC finds
-  /// nothing reclaimable and the device would otherwise refuse writes.
-  virtual std::uint32_t ForcedReleaseBatch(
-      const nand::Geometry& geometry) const = 0;
-};
-
-/// The paper's window rule: a fixed recoverability window (10 s in the
-/// prototype), with space-pressure sacrifices sized to one erase block so a
-/// forced round can actually make a block reclaimable.
-class WindowRetentionPolicy final : public RetentionPolicy {
- public:
-  explicit WindowRetentionPolicy(SimTime window) : window_(window) {}
-  const char* Name() const override { return "window"; }
-  SimTime ExpiryHorizon(SimTime now) const override { return now - window_; }
-  std::uint32_t ForcedReleaseBatch(
-      const nand::Geometry& geometry) const override {
-    return geometry.pages_per_block;
-  }
-
- private:
-  SimTime window_;
-};
-
-// ---------------------------------------------------------------------------
-// Factories from the config enums.
+// Factories from the config.
 
 std::unique_ptr<AllocationPolicy> MakeAllocationPolicy(const FtlConfig& config);
 std::unique_ptr<VictimPolicy> MakeVictimPolicy(const FtlConfig& config);
@@ -239,11 +204,5 @@ std::unique_ptr<VictimPolicy> MakeVictimPolicy(const FtlConfig& config);
 /// would silently retain nothing (or contradict each other) instead of
 /// implementing the paper's recovery guarantee.
 RetentionConfigError ValidateRetentionConfig(const FtlConfig& config);
-
-/// Builds the retention policy, or returns nullptr when
-/// ValidateRetentionConfig rejects the config (the error is copied into
-/// `error` when non-null). Existing one-argument callers keep compiling.
-std::unique_ptr<RetentionPolicy> MakeRetentionPolicy(
-    const FtlConfig& config, RetentionConfigError* error = nullptr);
 
 }  // namespace insider::ftl

@@ -15,12 +15,9 @@ std::vector<DramRow> PaperDramBudget() {
 
 std::vector<DramRow> ActualDramBudget(const core::DetectorConfig& detector,
                                       const ftl::FtlConfig& ftl) {
-  // Hash index: key + value + ~2 pointers of bucket overhead per entry is a
-  // fair model for a closed-addressing table.
-  std::size_t hash_entry =
-      sizeof(Lba) + sizeof(std::uint64_t) + 2 * sizeof(void*);
   return {
-      {"Hash table", hash_entry, detector.table.max_hash_keys},
+      {"Hash table", core::HashIndexEntryBytes(),
+       detector.table.max_hash_keys},
       {"Counting table", sizeof(core::CountingEntry),
        detector.table.max_entries},
       {"Recovery queue", sizeof(ftl::BackupEntry),

@@ -61,9 +61,7 @@ std::vector<CategoryAccuracy> EvaluateAccuracy(
 
   std::uint64_t seed = config.base_seed;
   for (const ScenarioSpec& spec : specs) {
-    wl::AppCategory category = spec.ransomware.empty()
-                                   ? wl::CategoryOf(spec.app)
-                                   : wl::CategoryOf(spec.app);
+    wl::AppCategory category = wl::CategoryOf(spec.app);
     Tally& tally = tallies[category];
     if (tally.far_hits.empty()) {
       tally.far_hits.assign(nth + 1, 0);

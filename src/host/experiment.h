@@ -253,14 +253,14 @@ struct RangeRecoveryConfig {
   core::DetectorConfig detector;
   /// The protected range and its retention policy.
   Lba protected_begin = 0;
-  Lba protected_blocks = 512;
+  Lba protected_blocks = 4096;
   std::uint32_t keep_versions = 16;
   SimTime keep_window = Seconds(120);
   /// Ransomware family encrypting the protected range (workload/ransomware.h).
   std::string ransomware = "WannaCry";
   SimTime attack_start = Seconds(20);
   SimTime attack_max_duration = Seconds(20);
-  std::size_t fileset_files = 120;
+  std::size_t fileset_files = 600;
   std::uint64_t seed = 1;
 
   RangeRecoveryConfig() {

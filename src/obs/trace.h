@@ -8,12 +8,10 @@
 // any scope and emits under kBackgroundTrace.
 //
 // Cost model: components hold a `Tracer*` that is null until something
-// attaches one, and every emit helper is an inline null-check around a call
-// that only exists when the tree is configured with -DINSIDER_TRACE=ON
-// (the default). With INSIDER_TRACE=OFF the helpers are empty inline
-// functions over `const char*` literals — no strings are built, no branch is
-// taken, the call vanishes. Either way the tracer never touches the virtual
-// clock, so simulated results are bit-identical with tracing on or off.
+// attaches one, and every emit helper is an inline null-check around the
+// call, so an unattached tracer costs one branch per instrumentation point.
+// The tracer never touches the virtual clock, so simulated results are
+// bit-identical with a tracer attached or not.
 #pragma once
 
 #include <cstddef>
@@ -22,12 +20,6 @@
 #include <vector>
 
 #include "common/time.h"
-
-#if defined(INSIDER_TRACE) && INSIDER_TRACE
-#define INSIDER_TRACE_ENABLED 1
-#else
-#define INSIDER_TRACE_ENABLED 0
-#endif
 
 namespace insider::obs {
 
@@ -114,13 +106,9 @@ class Tracer {
   TraceId current_ = kBackgroundTrace;
 };
 
-/// True when the tree was compiled with the instrumentation points live.
-constexpr bool TraceCompiledIn() { return INSIDER_TRACE_ENABLED != 0; }
-
-// Instrumentation-point helpers: null-safe, and compiled to empty inlines
-// when INSIDER_TRACE=OFF (callers only pass string literals, so nothing is
-// constructed on the dead path).
-#if INSIDER_TRACE_ENABLED
+// Instrumentation-point helpers: null-safe, so call sites stay
+// unconditional (callers only pass string literals, so nothing is
+// constructed when no tracer is attached).
 inline void EmitSpan(Tracer* tracer, const char* name, const char* cat,
                      std::uint32_t track, SimTime begin, SimTime end,
                      std::int64_t arg = 0, const char* arg_name = "") {
@@ -132,12 +120,6 @@ inline void EmitInstant(Tracer* tracer, const char* name, const char* cat,
                         const char* arg_name = "") {
   if (tracer != nullptr) tracer->Instant(name, cat, track, at, arg, arg_name);
 }
-#else
-inline void EmitSpan(Tracer*, const char*, const char*, std::uint32_t,
-                     SimTime, SimTime, std::int64_t = 0, const char* = "") {}
-inline void EmitInstant(Tracer*, const char*, const char*, std::uint32_t,
-                        SimTime, std::int64_t = 0, const char* = "") {}
-#endif
 
 /// Chrome trace-event JSON (chrome://tracing, Perfetto "legacy JSON").
 struct ChromeTraceOptions {

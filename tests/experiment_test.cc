@@ -201,5 +201,20 @@ TEST(ConsistencyTrialTest, UndetectedWithoutDetector) {
   EXPECT_FALSE(r.rolled_back);
 }
 
+// The range-recovery demo at its defaults: the attack on the protected range
+// must raise an alarm, and the selective rollback must bring back every
+// protected LBA's pre-attack content.
+TEST(RangeRecoveryTest, DefaultsAlarmAndRestoreTheWholeRange) {
+  for (const char* family : {"WannaCry", "Mole"}) {
+    RangeRecoveryConfig cfg;
+    cfg.ransomware = family;
+    RangeRecoveryResult r = RunRangeRecovery(core::PretrainedTree(), cfg);
+    EXPECT_TRUE(r.alarm) << family;
+    EXPECT_EQ(r.protected_lbas_total, cfg.protected_blocks) << family;
+    EXPECT_GT(r.report.restored, 0u) << family;
+    EXPECT_EQ(r.protected_lbas_clean, r.protected_lbas_total) << family;
+  }
+}
+
 }  // namespace
 }  // namespace insider::host

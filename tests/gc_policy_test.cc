@@ -160,8 +160,6 @@ TEST(GcPolicyParityTest, InjectedGreedyEqualsConfiguredDefault) {
   PageFtl by_injection(cfg);
   by_injection.SetVictimPolicy(std::make_unique<GreedyVictimPolicy>());
   by_injection.SetAllocationPolicy(std::make_unique<StripedAllocationPolicy>());
-  by_injection.SetRetentionPolicy(
-      std::make_unique<WindowRetentionPolicy>(cfg.retention_window));
   RunHighUtilWorkload(by_injection);
 
   EXPECT_EQ(by_config.Stats().gc_page_copies,
@@ -177,7 +175,6 @@ TEST(GcPolicyTest, PolicyAccessorsReportConfiguredNames) {
   PageFtl ftl(cfg);
   EXPECT_STREQ(ftl.Allocation().Name(), "striped");
   EXPECT_STREQ(ftl.Victim().Name(), "greedy");
-  EXPECT_STREQ(ftl.Retention().Name(), "window");
 
   cfg.victim_policy = VictimPolicyKind::kCostBenefit;
   PageFtl cb(cfg);

@@ -1,8 +1,8 @@
-// Typed validation of the retention configuration (MakeRetentionPolicy /
-// ValidateRetentionConfig) and of the per-range policy table: a config that
-// would silently retain nothing must be rejected with a diagnosable error,
-// and a device handed such a config must fall back to the paper's window
-// policy instead of running unprotected.
+// Typed validation of the retention configuration (ValidateRetentionConfig)
+// and of the per-range policy table: a config that would silently retain
+// nothing must be rejected with a diagnosable error, and a device handed
+// such a config must fall back to the paper's 10 s window — for release and
+// rollback alike — instead of running unprotected.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,14 +26,13 @@ TEST(RetentionConfigTest, DefaultConfigIsValid) {
   RetentionConfigError e = ValidateRetentionConfig(BaseConfig());
   EXPECT_TRUE(e.ok());
   EXPECT_EQ(e.issue, RetentionConfigIssue::kNone);
-  EXPECT_NE(MakeRetentionPolicy(BaseConfig()), nullptr);
 }
 
 TEST(RetentionConfigTest, NegativeWindowRejected) {
   FtlConfig cfg = BaseConfig();
   cfg.retention_window = -Seconds(1);
-  RetentionConfigError e;
-  EXPECT_EQ(MakeRetentionPolicy(cfg, &e), nullptr);
+  RetentionConfigError e = ValidateRetentionConfig(cfg);
+  EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.issue, RetentionConfigIssue::kNegativeWindow);
   EXPECT_FALSE(e.detail.empty());
 }
@@ -41,8 +40,8 @@ TEST(RetentionConfigTest, NegativeWindowRejected) {
 TEST(RetentionConfigTest, ZeroWindowWithDelayedDeletionIsNoOp) {
   FtlConfig cfg = BaseConfig();
   cfg.retention_window = 0;
-  RetentionConfigError e;
-  EXPECT_EQ(MakeRetentionPolicy(cfg, &e), nullptr);
+  RetentionConfigError e = ValidateRetentionConfig(cfg);
+  EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.issue, RetentionConfigIssue::kNoOpRetention);
 }
 
@@ -59,8 +58,8 @@ TEST(RetentionConfigTest, RangePoliciesRequireDelayedDeletion) {
   auto table = std::make_shared<version::RangePolicyTable>();
   ASSERT_TRUE(table->Add({0, 64, 4, Seconds(60)}));
   cfg.range_policies = table;
-  RetentionConfigError e;
-  EXPECT_EQ(MakeRetentionPolicy(cfg, &e), nullptr);
+  RetentionConfigError e = ValidateRetentionConfig(cfg);
+  EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.issue, RetentionConfigIssue::kInvalidRangePolicy);
 }
 
@@ -97,6 +96,25 @@ TEST(RetentionConfigTest, FtlFallsBackToWindowPolicyOnBadConfig) {
   EXPECT_TRUE(ftl.WritePage(0, {1, {}}, Seconds(1)).ok());
   EXPECT_TRUE(ftl.WritePage(0, {2, {}}, Seconds(2)).ok());
   EXPECT_EQ(ftl.ReadPage(0, Seconds(2)).data.stamp, 2u);
+  EXPECT_EQ(ftl.CheckInvariants(), "");
+}
+
+// The fallback window governs rollback as well as release. With a zero
+// window rejected, release keeps the 5 s backup under the 10 s fallback, so
+// a rollback at 6 s must revert it; reading the raw config (horizon 6 s)
+// would revert nothing.
+TEST(RetentionConfigTest, RollbackUsesFallbackWindowOnBadConfig) {
+  FtlConfig cfg = BaseConfig();
+  cfg.retention_window = 0;
+  PageFtl ftl(cfg);
+  ASSERT_EQ(ftl.RetentionConfigStatus().issue,
+            RetentionConfigIssue::kNoOpRetention);
+  ASSERT_TRUE(ftl.WritePage(0, {1, {}}, Seconds(1)).ok());
+  ASSERT_TRUE(ftl.WritePage(0, {2, {}}, Seconds(5)).ok());
+  ASSERT_EQ(ftl.RecoveryQueueSize(), 1u);
+  RollbackReport r = ftl.RollBack(Seconds(6));
+  EXPECT_EQ(r.entries_reverted, 1u);
+  EXPECT_EQ(ftl.ReadPage(0, Seconds(6)).data.stamp, 1u);
   EXPECT_EQ(ftl.CheckInvariants(), "");
 }
 

@@ -3,10 +3,7 @@
 // trace ring as a consistent span stack — engine submit/queue-wait/
 // arbitration/device plus the FTL and NAND work underneath, all carrying the
 // command's trace id — and the metrics registry must account for the same
-// phases. Span assertions are gated on obs::TraceCompiledIn() — with
-// -DINSIDER_TRACE=OFF the instrumentation points are compiled out and
-// those checks are vacuous — while the metrics and determinism checks run
-// in every configuration.
+// phases, and attaching the tracer must never move virtual time.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -82,7 +79,6 @@ void RunMqueue(MqueueRun& run, std::size_t commands_per_queue) {
 }
 
 TEST(TraceIntegrationTest, CommandsRenderAsNestedSpanStacks) {
-  if (!obs::TraceCompiledIn()) GTEST_SKIP() << "built with INSIDER_TRACE=OFF";
   MqueueRun run;
   RunMqueue(run, 150);
   ASSERT_EQ(run.dispatched, 8u * 150u);
@@ -142,9 +138,6 @@ TEST(TraceIntegrationTest, CommandsRenderAsNestedSpanStacks) {
 }
 
 TEST(TraceIntegrationTest, MetricsAccountForTheSamePhases) {
-  // Deliberately NOT gated on TraceCompiledIn(): metric recording is a
-  // plain null-checked call, independent of the INSIDER_TRACE macro, and
-  // must keep working when the span instrumentation is compiled out.
   MqueueRun run;
   RunMqueue(run, 100);
   const auto& h = run.metrics.Histograms();
@@ -235,15 +228,13 @@ TEST(TraceIntegrationTest, InterleavedDetectionExportsSliceHistory) {
     max_score = std::max(max_score, rec.score);
   }
   EXPECT_EQ(max_score, r.max_score);
-  if (obs::TraceCompiledIn()) {
-    EXPECT_GT(tracer.Buffer().Size(), 0u);
-    // An alarm (if raised) shows up as an ssd.alarm instant.
-    bool saw_alarm_marker = false;
-    for (const obs::TraceEvent& e : tracer.Buffer().Snapshot()) {
-      if (e.name == "ssd.alarm") saw_alarm_marker = true;
-    }
-    EXPECT_EQ(saw_alarm_marker, r.alarm);
+  EXPECT_GT(tracer.Buffer().Size(), 0u);
+  // An alarm (if raised) shows up as an ssd.alarm instant.
+  bool saw_alarm_marker = false;
+  for (const obs::TraceEvent& e : tracer.Buffer().Snapshot()) {
+    if (e.name == "ssd.alarm") saw_alarm_marker = true;
   }
+  EXPECT_EQ(saw_alarm_marker, r.alarm);
 }
 
 }  // namespace

@@ -188,12 +188,6 @@ int RunMqueue(const Options& opt, obs::Tracer& tracer,
 }
 
 int Run(const Options& opt) {
-  if (!obs::TraceCompiledIn()) {
-    std::printf(
-        "trace_dump: built with INSIDER_TRACE=OFF — the instrumentation "
-        "points are compiled out, so the trace would be empty.\n");
-    return 1;
-  }
   obs::Tracer tracer(opt.capacity);
   obs::MetricsRegistry metrics;
 
