@@ -14,6 +14,15 @@
 
 namespace insider {
 
+/// The SplitMix64 output function applied to `x`: a cheap, well-mixed 64-bit
+/// hash (stamp and checksum mixing; not cryptographic).
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -27,10 +36,9 @@ class Rng {
 
   /// SplitMix64 step.
   std::uint64_t operator()() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
+    const std::uint64_t z = state_;
+    state_ += 0x9E3779B97F4A7C15ull;
+    return SplitMix64(z);
   }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Uses Lemire's

@@ -20,14 +20,6 @@ bool DecisionTree::Classify(const FeatureVector& features,
   }
 }
 
-std::size_t DecisionTree::LeafCount() const {
-  std::size_t count = 0;
-  for (const Node& n : nodes_) {
-    if (n.is_leaf) ++count;
-  }
-  return count;
-}
-
 std::size_t DecisionTree::Depth() const {
   if (nodes_.empty()) return 0;
   return DepthFrom(0);

@@ -30,7 +30,6 @@ class DecisionTree {
 
   bool Empty() const { return nodes_.empty(); }
   std::size_t NodeCount() const { return nodes_.size(); }
-  std::size_t LeafCount() const;
   std::size_t Depth() const;
   const std::vector<Node>& Nodes() const { return nodes_; }
 

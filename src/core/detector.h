@@ -78,7 +78,6 @@ class Detector {
   const DecisionTree& Tree() const { return tree_; }
   /// The most recent closed slices (all of them when history_limit is 0).
   const std::deque<SliceRecord>& History() const { return history_; }
-  void ClearHistory() { history_.clear(); }
 
   /// Reset all runtime state (score, tables, history); keeps the tree.
   void Reset();

@@ -24,26 +24,6 @@ using BlockBuf = std::array<std::byte, kBlockSize>;
 
 }  // namespace
 
-const char* FsStatusName(FsStatus status) {
-  switch (status) {
-    case FsStatus::kOk: return "ok";
-    case FsStatus::kNotFound: return "not found";
-    case FsStatus::kExists: return "already exists";
-    case FsStatus::kNoSpace: return "no space";
-    case FsStatus::kNoInodes: return "no free inodes";
-    case FsStatus::kNotDir: return "not a directory";
-    case FsStatus::kIsDir: return "is a directory";
-    case FsStatus::kNotFile: return "not a regular file";
-    case FsStatus::kDirNotEmpty: return "directory not empty";
-    case FsStatus::kNameTooLong: return "name too long";
-    case FsStatus::kTooBig: return "file too big";
-    case FsStatus::kBadPath: return "bad path";
-    case FsStatus::kIoError: return "I/O error";
-    case FsStatus::kBadFs: return "bad filesystem";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Mkfs / Mount
 

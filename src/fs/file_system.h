@@ -43,8 +43,6 @@ enum class FsStatus {
   kBadFs,
 };
 
-const char* FsStatusName(FsStatus status);
-
 class FileSystem {
  public:
   /// Format the device. `inode_count` caps the number of files+dirs.

@@ -2,29 +2,26 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
+
 namespace insider::ftl {
 
 namespace {
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t PageStamp(std::uint64_t base, std::uint32_t position,
                         bool footer) {
-  return Mix(base ^ Mix(position) ^ (footer ? 0xf007e4ull : 0ull));
+  return SplitMix64(base ^ SplitMix64(position) ^
+                    (footer ? 0xf007e4ull : 0ull));
 }
 }  // namespace
 
 std::uint64_t FtlSnapshot::Hash() const {
-  std::uint64_t h = Mix(write_seq);
-  h ^= Mix(valid_pages) ^ Mix(retained_pages + 1) ^ Mix(archived_pages + 2);
-  h ^= Mix(static_cast<std::uint64_t>(queue.Size()) + 3);
-  h ^= Mix(static_cast<std::uint64_t>(trim_journal.size()) + 4);
-  h ^= Mix(static_cast<std::uint64_t>(store.record_count) + 5);
-  h ^= Mix(static_cast<std::uint64_t>(last_release_horizon) + 6);
+  std::uint64_t h = SplitMix64(write_seq);
+  h ^= SplitMix64(valid_pages) ^ SplitMix64(retained_pages + 1) ^
+       SplitMix64(archived_pages + 2);
+  h ^= SplitMix64(static_cast<std::uint64_t>(queue.Size()) + 3);
+  h ^= SplitMix64(static_cast<std::uint64_t>(trim_journal.size()) + 4);
+  h ^= SplitMix64(static_cast<std::uint64_t>(store.record_count) + 5);
+  h ^= SplitMix64(static_cast<std::uint64_t>(last_release_horizon) + 6);
   return h;
 }
 
@@ -61,10 +58,10 @@ bool CheckpointStore::Commit(FtlSnapshot snap, SimTime now, SimTime* complete,
   SimTime t = now;
   const nand::Geometry& geo = nand_->Geo();
   for (std::uint64_t block_id : buffers_[buffer]) {
+    if (nand_->BlockAt(block_id).IsErased()) continue;
     nand::BlockAddr addr{
         static_cast<std::uint32_t>(block_id / geo.blocks_per_chip),
         static_cast<std::uint32_t>(block_id % geo.blocks_per_chip)};
-    if (nand_->BlockAt(addr).IsErased()) continue;
     nand::NandResult r = nand_->EraseMetaBlock(addr, t);
     t = std::max(t, r.complete_time);
     if (!r.ok()) {
@@ -81,7 +78,7 @@ bool CheckpointStore::Commit(FtlSnapshot snap, SimTime now, SimTime* complete,
     if (complete != nullptr) *complete = std::max(*complete, t);
     return false;
   }
-  std::uint64_t base = Mix(e) ^ Mix(body_pages) ^ snap.Hash();
+  std::uint64_t base = SplitMix64(e) ^ SplitMix64(body_pages) ^ snap.Hash();
   for (std::uint32_t pos = 0; pos < total; ++pos) {
     if (nand_->PowerCutRequested("checkpoint.flush")) {
       // Power cut mid-commit: the footer never lands, so this buffer reads

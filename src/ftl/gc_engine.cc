@@ -77,7 +77,7 @@ bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
   if (f.journal_.Enabled() && !f.replaying_) {
     const JournalRecord intent{JournalOpKind::kEraseIntent, /*flag=*/false, 0,
                                victim, nand::kInvalidPpa,
-                               f.blocks_.EraseCount(victim), now, 0};
+                               f.nand_.BlockAt(victim).EraseCount(), now, 0};
     f.JournalAppend(intent);
     if (!f.JournalFlushAll(now)) {
       // Region exhausted or the flush tore: a committed checkpoint clears
@@ -109,7 +109,6 @@ bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
     f.page_state_.Set(geo.MakePpa(addr.chip, addr.block, p), PageState::kFree);
   }
   assert(f.block_counters_[victim].Movable() == 0);
-  f.blocks_.OnErase(victim);
   f.RefreshVictim(victim);
   f.RecycleBlock(victim);
   ++f.stats_.gc_erases;
@@ -222,13 +221,7 @@ std::size_t GcEngine::CollectCheap(SimTime now, std::size_t max_blocks,
       std::min(max_movable, geo.pages_per_block - 1);
   std::size_t reclaimed = 0;
   SimTime t = now;
-  while (reclaimed < max_blocks) {
-    // Peek at the would-be victim under the cheapness cap before paying for
-    // a collection round.
-    if (f.victim_->SelectVictim(f.view_, cap) == kNoVictim) break;
-    if (!CollectOne(t, geo.pages_per_block - 1)) break;
-    ++reclaimed;
-  }
+  while (reclaimed < max_blocks && CollectOne(t, cap)) ++reclaimed;
   return reclaimed;
 }
 

@@ -109,8 +109,7 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   // perturb the deterministic error sequence). Returns nullptr for erased
   // and burned pages.
   auto oob_of = [&](nand::Ppa ppa) -> const nand::PageData* {
-    nand::BlockAddr addr{geo.ChipOf(ppa), geo.BlockOf(ppa)};
-    return ftl.nand_.BlockAt(addr).Read(geo.PageOf(ppa));
+    return ftl.nand_.PeekPage(ppa);
   };
 
   // --- M1/M2: every L2P entry against page state, P2L, and NAND OOB. ----
@@ -423,13 +422,12 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                   v.actual = "block " + Str(b) + " is " +
                              HealthName(ftl.block_health_[b]);
                 });
-      rec.Check(ftl.nand_.BlockAt(ftl.AddrOfBlockId(b)).IsErased(),
-                Kind::kBadBlockMismatch, [&](InvariantViolation& v) {
+      rec.Check(ftl.nand_.BlockAt(b).IsErased(), Kind::kBadBlockMismatch,
+                [&](InvariantViolation& v) {
                   v.where = "free pool of chip " + Str(chip);
                   v.expected = "block " + Str(b) + " erased in NAND";
                   v.actual = "write pointer " +
-                             Str(ftl.nand_.BlockAt(ftl.AddrOfBlockId(b))
-                                     .WritePointer());
+                             Str(ftl.nand_.BlockAt(b).WritePointer());
                 });
     }
     std::uint32_t active = ftl.active_block_per_chip_[chip];
@@ -498,30 +496,19 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
               });
   }
 
-  // --- G1/G2: the dense block mirror against NAND, and the victim index
-  // against the eligibility rule it caches.
+  // --- G2: the victim index against the eligibility rule it caches.
   std::size_t eligible_total = 0;
   for (std::uint32_t b = 0; b < geo.TotalBlocks() && !rec.Full(); ++b) {
-    if (ftl.blocks_.IsReserved(b)) continue;
-    const nand::Block& blk = ftl.nand_.BlockAt(ftl.AddrOfBlockId(b));
-    rec.Check(ftl.blocks_.WritePointer(b) == blk.WritePointer() &&
-                  ftl.blocks_.EraseCount(b) == blk.EraseCount(),
-              Kind::kStructural, [&](InvariantViolation& v) {
-                v.where = "block " + Str(b) + " mirror";
-                v.expected = "write pointer " + Str(blk.WritePointer()) +
-                             ", erases " + Str(blk.EraseCount()) + " (NAND)";
-                v.actual = "write pointer " +
-                           Str(ftl.blocks_.WritePointer(b)) + ", erases " +
-                           Str(ftl.blocks_.EraseCount(b));
-              });
-    const bool eligible = ftl.blocks_.IsFull(b) && !ftl.IsActiveBlock(b) &&
+    if (ftl.nand_.IsMetadataBlock(b)) continue;
+    const nand::Block& blk = ftl.nand_.BlockAt(b);
+    const bool eligible = blk.IsFull() && !ftl.IsActiveBlock(b) &&
                           ftl.block_health_[b] == BlockHealth::kHealthy;
     if (eligible) ++eligible_total;
     const std::uint32_t key = eligible ? ftl.block_counters_[b].Movable()
                                        : VictimIndex::kNone;
     rec.Check(ftl.victims_.KeyOf(b) == key &&
                   (!eligible ||
-                   ftl.victims_.EraseKeyOf(b) == ftl.blocks_.EraseCount(b)),
+                   ftl.victims_.EraseKeyOf(b) == blk.EraseCount()),
               Kind::kStructural, [&](InvariantViolation& v) {
                 v.where = "victim index entry of block " + Str(b);
                 v.expected = eligible ? "keyed by " + Str(key) + " movable"

@@ -35,7 +35,6 @@
 //                the number of version records referencing o's hash
 //   V3  ∀ non-tombstone record r ∈ store: r.hash resolves to an object
 //   V4  |store objects| = archived page total = Σ_b counters[b].archived
-//   G1  ∀ data block b: mirror(b).{write pointer, erase count} = NAND(b)
 //   G2  ∀ data block b: b ∈ victim index ⇔ full(b) ∧ b not a frontier ∧
 //                health[b] = Healthy; a member is keyed by (counters[b]
 //                movable, erase count)

@@ -2,17 +2,9 @@
 
 #include <algorithm>
 
-namespace insider::ftl {
+#include "common/rng.h"
 
-namespace {
-/// SplitMix64 finalizer — cheap stamp mixing, not cryptographic.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
+namespace insider::ftl {
 
 MappingJournal::MappingJournal(nand::FlashArray* nand,
                                std::vector<std::uint64_t> region_a,
@@ -49,12 +41,13 @@ nand::Ppa MappingJournal::PpaOfPosition(std::uint32_t position) const {
 std::uint64_t MappingJournal::StampOf(std::uint64_t epoch,
                                       std::uint32_t position,
                                       const std::vector<JournalRecord>& batch) {
-  std::uint64_t h = Mix(epoch) ^ Mix(0x10000ull + position);
+  std::uint64_t h = SplitMix64(epoch) ^ SplitMix64(0x10000ull + position);
   for (const JournalRecord& r : batch) {
-    h = Mix(h ^ static_cast<std::uint64_t>(r.kind));
-    h = Mix(h ^ r.lba) ^ Mix(r.ppa) ^ Mix(r.ppa2) ^ Mix(r.seq);
-    h = Mix(h ^ static_cast<std::uint64_t>(r.t1)) ^
-        Mix(static_cast<std::uint64_t>(r.t2) + (r.flag ? 1u : 0u));
+    h = SplitMix64(h ^ static_cast<std::uint64_t>(r.kind));
+    h = SplitMix64(h ^ r.lba) ^ SplitMix64(r.ppa) ^ SplitMix64(r.ppa2) ^
+        SplitMix64(r.seq);
+    h = SplitMix64(h ^ static_cast<std::uint64_t>(r.t1)) ^
+        SplitMix64(static_cast<std::uint64_t>(r.t2) + (r.flag ? 1u : 0u));
   }
   return h;
 }
@@ -123,10 +116,10 @@ void MappingJournal::StartEpoch(std::uint64_t epoch, SimTime now,
   SimTime t = now;
   const nand::Geometry& geo = nand_->Geo();
   for (std::uint64_t block_id : regions_[epoch_ % 2]) {
+    if (nand_->BlockAt(block_id).IsErased()) continue;
     nand::BlockAddr addr{
         static_cast<std::uint32_t>(block_id / geo.blocks_per_chip),
         static_cast<std::uint32_t>(block_id % geo.blocks_per_chip)};
-    if (nand_->BlockAt(addr).IsErased()) continue;
     nand::NandResult r = nand_->EraseMetaBlock(addr, t);
     t = std::max(t, r.complete_time);
     // An erase fail leaves the block full; Flush() reports overflow when it

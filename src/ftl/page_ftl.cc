@@ -158,7 +158,7 @@ PageFtl::PageFtl(const FtlConfig& config)
       // A config the validator rejects must not half-enable versioning: the
       // store only receives the policy table when the config is sound.
       store_(retention_error_.ok() ? config.range_policies : nullptr),
-      view_(config_.geometry, blocks_, victims_, block_counters_,
+      view_(config_.geometry, nand_, victims_, block_counters_,
             active_block_per_chip_, free_blocks_by_chip_, block_health_),
       gc_(*this) {
   if (!retention_error_.ok()) {
@@ -171,7 +171,6 @@ PageFtl::PageFtl(const FtlConfig& config)
   }
   nand_.SetFaultPlan(config_.fault_plan);
   const nand::Geometry& geo = config_.geometry;
-  blocks_.Reset(geo);
   victims_.Reset(static_cast<std::uint32_t>(geo.TotalBlocks()),
                  geo.pages_per_block);
   std::uint64_t reserved_pages = 0;
@@ -195,7 +194,6 @@ PageFtl::PageFtl(const FtlConfig& config)
             static_cast<std::uint64_t>(chip) * geo.blocks_per_chip + index;
         groups[g].push_back(id);
         metadata_blocks_.push_back(id);
-        blocks_.MarkReserved(static_cast<std::uint32_t>(id));
       }
     }
     assert(metadata_blocks_.size() < geo.TotalBlocks());
@@ -248,11 +246,12 @@ bool PageFtl::IsActiveBlock(std::uint32_t block_id) const {
 }
 
 void PageFtl::RefreshVictim(std::uint32_t block_id) {
-  if (blocks_.IsFull(block_id) && !IsActiveBlock(block_id) &&
+  const nand::Block& blk = nand_.BlockAt(block_id);
+  if (blk.IsFull() && !IsActiveBlock(block_id) &&
       block_health_[block_id] == BlockHealth::kHealthy &&
-      !blocks_.IsReserved(block_id)) {
+      !nand_.IsMetadataBlock(block_id)) {
     victims_.Place(block_id, block_counters_[block_id].Movable(),
-                   blocks_.EraseCount(block_id));
+                   static_cast<std::uint32_t>(blk.EraseCount()));
   } else {
     victims_.Remove(block_id);
   }
@@ -280,7 +279,7 @@ nand::Ppa PageFtl::AllocatePage() {
   std::optional<std::uint32_t> chip = allocation_->NextChip(view_);
   if (!chip) return nand::kInvalidPpa;
   std::uint32_t& active = active_block_per_chip_[*chip];
-  if (active == kNoActiveBlock || blocks_.IsFull(active)) {
+  if (active == kNoActiveBlock || nand_.BlockAt(active).IsFull()) {
     auto& pool = free_blocks_by_chip_[*chip];
     assert(!pool.empty());  // ChipCanAllocate guaranteed a free block
     const std::uint32_t closed = active;
@@ -291,7 +290,8 @@ nand::Ppa PageFtl::AllocatePage() {
     if (closed != kNoActiveBlock) RefreshVictim(closed);
   }
   nand::BlockAddr addr = AddrOfBlockId(active);
-  return geo.MakePpa(addr.chip, addr.block, blocks_.WritePointer(active));
+  return geo.MakePpa(addr.chip, addr.block,
+                     nand_.BlockAt(active).WritePointer());
 }
 
 void PageFtl::RecycleBlock(std::uint32_t block_id) {
@@ -530,7 +530,7 @@ void PageFtl::MapVersion(Lba lba, nand::Ppa ppa, SimTime displaced_at) {
 void PageFtl::ClearRetiredBlock(std::uint32_t block_id) {
   const nand::Geometry& geo = config_.geometry;
   nand::BlockAddr addr = AddrOfBlockId(block_id);
-  const nand::Block& blk = nand_.BlockAt(addr);
+  const nand::Block& blk = nand_.BlockAt(block_id);
   for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
     nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
     page_state_.Set(ppa,
@@ -548,12 +548,8 @@ nand::Ppa PageFtl::ProgramWithRedrive(nand::PageData data, SimTime& now) {
     attempt.oob.seq = ++write_seq_;
     nand::NandResult pr = nand_.ProgramPage(ppa, std::move(attempt), now);
     now = pr.complete_time;
-    // Both outcomes below consume the page position. The block is its
-    // chip's frontier, so it cannot be a GC candidate yet: the victim index
-    // picks it up when allocation moves off it.
-    if (pr.ok() || pr.status == nand::NandStatus::kProgramFail) {
-      blocks_.OnProgram(BlockIdOf(ppa));
-    }
+    // The block is its chip's frontier, so it cannot be a GC candidate yet:
+    // the victim index picks it up when allocation moves off it.
     if (pr.ok()) return ppa;
     if (pr.status != nand::NandStatus::kProgramFail) {
       // Sequencing violation, not a media fault — surface it as frontier
@@ -1006,7 +1002,7 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
       std::uint32_t b = chip * geo.blocks_per_chip + i;
       if (nand_.IsMetadataBlock(b)) continue;
       if (block_health_[b] != BlockHealth::kHealthy) continue;
-      const nand::Block& blk = nand_.BlockAt(AddrOfBlockId(b));
+      const nand::Block& blk = nand_.BlockAt(b);
       if (blk.IsErased()) {
         free_blocks_by_chip_[chip].push_back(b);
         ++free_block_count_;
@@ -1032,8 +1028,6 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
       }
     }
   }
-  // The dense block state is rebuilt from the same media headers.
-  blocks_.LoadFromMedia(nand_);
   RebuildVictimIndex();
   return probe_reads;
 }
@@ -1052,7 +1046,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
   for (std::uint32_t b = 0; b < geo.TotalBlocks(); ++b) {
     if (nand_.IsMetadataBlock(b)) continue;  // stamps only, no host data
     nand::BlockAddr addr = AddrOfBlockId(b);
-    const nand::Block& blk = nand_.BlockAt(addr);
+    const nand::Block& blk = nand_.BlockAt(b);
     if (block_health_[b] == BlockHealth::kRetired) {
       // Out of service: the bad-block table says never touch it again.
       ClearRetiredBlock(b);
@@ -1227,7 +1221,7 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       std::uint32_t block_id = static_cast<std::uint32_t>(rec.ppa);
       if (block_id >= geo.TotalBlocks()) return false;
       nand::BlockAddr addr = AddrOfBlockId(block_id);
-      if (nand_.BlockAt(addr).EraseCount() > rec.seq) {
+      if (nand_.BlockAt(block_id).EraseCount() > rec.seq) {
         // The intended erase reached media: replay its effects. The intent
         // flush carried every evacuation record, so the block must be fully
         // drained at this point in the replayed stream.
@@ -1291,7 +1285,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     if (nand_.IsMetadataBlock(b)) continue;
     if (block_health_[b] == BlockHealth::kRetired) continue;
     nand::BlockAddr addr = AddrOfBlockId(b);
-    const nand::Block& blk = nand_.BlockAt(addr);
+    const nand::Block& blk = nand_.BlockAt(b);
     const std::uint32_t actual = blk.WritePointer();
     // Replayed horizon: programs land strictly in page order and every
     // journaled program marked its page non-free, so the count of non-free
@@ -1526,7 +1520,7 @@ PageFtl::WearStats PageFtl::Wear() const {
   w.min_erases = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t total = 0;
   for (std::uint32_t b = 0; b < geo.TotalBlocks(); ++b) {
-    std::uint64_t e = nand_.BlockAt(AddrOfBlockId(b)).EraseCount();
+    std::uint64_t e = nand_.BlockAt(b).EraseCount();
     w.min_erases = std::min(w.min_erases, e);
     w.max_erases = std::max(w.max_erases, e);
     total += e;

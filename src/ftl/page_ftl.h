@@ -255,7 +255,7 @@ class PageFtl {
   std::uint64_t ResidentBytesEstimate() const {
     std::uint64_t bytes = l2p_.ResidentBytes() + p2l_.ResidentBytes() +
                           page_state_.ResidentBytes() +
-                          blocks_.ResidentBytes() + victims_.ResidentBytes() +
+                          victims_.ResidentBytes() +
                           block_counters_.capacity() * sizeof(BlockCounters) +
                           block_health_.capacity() * sizeof(BlockHealth) +
                           active_block_per_chip_.capacity() *
@@ -439,8 +439,7 @@ class PageFtl {
   common::LazyTable<nand::Ppa> l2p_;
   common::LazyTable<Lba> p2l_;
   common::LazyTable<PageState> page_state_;
-  /// Dense per-block media mirror and the greedy victim index over it.
-  BlockTable blocks_;
+  /// Greedy victim index over the reclaimable data blocks.
   VictimIndex victims_;
   std::vector<BlockCounters> block_counters_;
   /// Per-chip LIFO pools of erased block ids plus one active block per chip.

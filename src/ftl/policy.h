@@ -8,11 +8,10 @@
 // targets, F2FS victim selection).
 //
 // Policies see the core through PolicyView, a read-only window over the
-// FTL-owned dense block state (block_table.h): per-block counters, the
-// mirrored wear/fullness facts, the greedy victim index and the allocation
-// frontiers. No accessor reaches into the NAND array. Policies hold their
-// own cursor/state but never mutate the core; the core and the GC engine
-// apply their decisions.
+// FTL's per-block counters, the greedy victim index (victim_index.h), the
+// allocation frontiers, and the NAND array's flat block vector for
+// wear/fullness facts. Policies hold their own cursor/state but never
+// mutate the core; the core and the GC engine apply their decisions.
 //
 // The default implementations reproduce the pre-refactor monolith decision
 // for decision (the gc_policy parity test pins this stat-for-stat).
@@ -23,8 +22,9 @@
 #include <optional>
 #include <vector>
 
-#include "ftl/block_table.h"
 #include "ftl/ftl_types.h"
+#include "ftl/victim_index.h"
+#include "nand/flash_array.h"
 
 namespace insider::ftl {
 
@@ -36,13 +36,13 @@ inline constexpr std::uint32_t kNoVictim = VictimIndex::kNone;
 /// program, so this sits on hot paths.
 class PolicyView {
  public:
-  PolicyView(const nand::Geometry& geometry, const BlockTable& blocks,
+  PolicyView(const nand::Geometry& geometry, const nand::FlashArray& nand,
              const VictimIndex& victims,
              const std::vector<BlockCounters>& block_counters,
              const std::vector<std::uint32_t>& active_block_per_chip,
              const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip,
              const std::vector<BlockHealth>& block_health)
-      : geometry_(geometry), blocks_(blocks), victims_(victims),
+      : geometry_(geometry), nand_(nand), victims_(victims),
         block_counters_(block_counters),
         active_block_per_chip_(active_block_per_chip),
         free_blocks_by_chip_(free_blocks_by_chip),
@@ -55,25 +55,21 @@ class PolicyView {
 
   // Victim-selection side ------------------------------------------------
 
-  std::uint32_t ValidPages(std::uint32_t block_id) const {
-    return block_counters_[block_id].valid;
-  }
-  std::uint32_t RetainedPages(std::uint32_t block_id) const {
-    return block_counters_[block_id].retained;
-  }
   /// Pages GC would have to copy to reclaim this block.
   std::uint32_t MovablePages(std::uint32_t block_id) const {
     return block_counters_[block_id].Movable();
   }
   /// Only full blocks are reclaimable (their write frontier is closed).
-  bool IsFull(std::uint32_t block_id) const { return blocks_.IsFull(block_id); }
+  bool IsFull(std::uint32_t block_id) const {
+    return nand_.BlockAt(block_id).IsFull();
+  }
   /// An active block is some chip's open write frontier; GC must skip it.
   bool IsActive(std::uint32_t block_id) const {
     std::uint32_t chip = block_id / geometry_.blocks_per_chip;
     return active_block_per_chip_[chip] == block_id;
   }
   std::uint64_t EraseCount(std::uint32_t block_id) const {
-    return blocks_.EraseCount(block_id);
+    return nand_.BlockAt(block_id).EraseCount();
   }
   /// Grown bad blocks — retired or awaiting retirement — are handled by the
   /// retirement drain, never offered to GC as victims. Reserved metadata
@@ -81,7 +77,7 @@ class PolicyView {
   /// are equally off-limits.
   bool IsOutOfService(std::uint32_t block_id) const {
     return block_health_[block_id] != BlockHealth::kHealthy ||
-           blocks_.IsReserved(block_id);
+           nand_.IsMetadataBlock(block_id);
   }
   /// The greedy choice among reclaimable blocks (full, not a frontier, in
   /// service) with at most `max_movable` movable pages: fewest movable
@@ -98,18 +94,17 @@ class PolicyView {
   /// block has room or a free block is available to open?
   bool ChipCanAllocate(std::uint32_t chip) const {
     std::uint32_t active = active_block_per_chip_[chip];
-    if (active != kNoActiveBlockId && !blocks_.IsFull(active)) return true;
+    if (active != kNoActiveBlockId && !nand_.BlockAt(active).IsFull()) {
+      return true;
+    }
     return !free_blocks_by_chip_[chip].empty();
-  }
-  std::size_t FreeBlocksOnChip(std::uint32_t chip) const {
-    return free_blocks_by_chip_[chip].size();
   }
 
   static constexpr std::uint32_t kNoActiveBlockId = 0xFFFFFFFFu;
 
  private:
   const nand::Geometry& geometry_;
-  const BlockTable& blocks_;
+  const nand::FlashArray& nand_;
   const VictimIndex& victims_;
   const std::vector<BlockCounters>& block_counters_;
   const std::vector<std::uint32_t>& active_block_per_chip_;

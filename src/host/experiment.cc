@@ -419,21 +419,11 @@ InterleavedResult RunInterleavedDetection(const core::DecisionTree& tree,
   // a final scratch region for out-of-place ransomware copies.
   const Lba region = exported / static_cast<Lba>(n + 2);
 
-  // Fixed rotation of Table-I backgrounds covering every Fig. 7 category.
-  static constexpr wl::AppKind kTenantApps[] = {
-      wl::AppKind::kWebSurfing,      wl::AppKind::kP2pDownload,
-      wl::AppKind::kOutlookSync,     wl::AppKind::kSqliteMessenger,
-      wl::AppKind::kInstall,         wl::AppKind::kOsUpdate,
-      wl::AppKind::kVideoDecode,     wl::AppKind::kCompression,
-  };
-  constexpr std::size_t kTenantAppCount =
-      sizeof(kTenantApps) / sizeof(kTenantApps[0]);
-
   std::vector<wl::TenantSpec> tenants;
   tenants.reserve(n + 1);
   double worst_slowdown = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    wl::AppKind kind = kTenantApps[i % kTenantAppCount];
+    wl::AppKind kind = wl::kTenantApps[i % wl::kTenantApps.size()];
     wl::AppParams params;
     params.start_time = 0;
     params.duration = config.duration;

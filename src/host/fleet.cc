@@ -47,17 +47,6 @@ SimTime P99(const std::deque<SimTime>& samples) {
   return v[idx];
 }
 
-// Fixed rotation of Table-I backgrounds (same set the interleaved
-// experiment uses) so a fleet covers every Fig. 7 category.
-constexpr wl::AppKind kTenantApps[] = {
-    wl::AppKind::kWebSurfing,      wl::AppKind::kP2pDownload,
-    wl::AppKind::kOutlookSync,     wl::AppKind::kSqliteMessenger,
-    wl::AppKind::kInstall,         wl::AppKind::kOsUpdate,
-    wl::AppKind::kVideoDecode,     wl::AppKind::kCompression,
-};
-constexpr std::size_t kTenantAppCount =
-    sizeof(kTenantApps) / sizeof(kTenantApps[0]);
-
 }  // namespace
 
 FleetResult RunFleet(const core::DecisionTree& tree,
@@ -142,7 +131,8 @@ FleetResult RunFleet(const core::DecisionTree& tree,
       meta.profile = family;
     } else {
       const bool noisy = noisy_mark[benign_seen] != 0;
-      wl::AppKind kind = kTenantApps[benign_seen % kTenantAppCount];
+      wl::AppKind kind =
+          wl::kTenantApps[benign_seen % wl::kTenantApps.size()];
       ++benign_seen;
 
       wl::AppParams params;

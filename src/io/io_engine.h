@@ -91,9 +91,6 @@ class IoEngine {
   /// Host side: reap the oldest posted completion of a pair, if any.
   std::optional<Completion> PopCompletion(QueueId q);
 
-  std::size_t PendingSubmissions(QueueId q) const {
-    return pairs_[q].sq().Size();
-  }
   std::size_t PendingCompletions(QueueId q) const {
     return pairs_[q].cq().Size();
   }

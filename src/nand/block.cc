@@ -5,9 +5,11 @@
 namespace insider::nand {
 
 void Block::MaterializePages() {
-  // Full-vector materialization (not per-page growth) so that pointers into
+  // Full-array materialization (not per-page growth) so that pointers into
   // pages_ handed out by Read() survive later programs of the same block.
-  if (pages_.empty()) pages_.resize(pages_per_block_);
+  if (pages_ == nullptr) {
+    pages_ = std::make_unique<PageData[]>(pages_per_block_);
+  }
 }
 
 bool Block::Program(std::uint32_t page, PageData data) {
@@ -21,9 +23,9 @@ bool Block::Program(std::uint32_t page, PageData data) {
 bool Block::BurnPage(std::uint32_t page) {
   if (page != write_ptr_ || IsFull()) return false;
   MaterializePages();
-  if (bad_.empty()) bad_.assign(pages_per_block_, false);
+  if (bad_ == nullptr) bad_ = std::make_unique<std::uint64_t[]>(BadWords());
   pages_[page] = PageData{};
-  bad_[page] = true;
+  bad_[page / 64] |= std::uint64_t{1} << (page % 64);
   ++write_ptr_;
   return true;
 }
@@ -39,15 +41,19 @@ void Block::Erase() {
   }
   // A successful erase restores burned pages too; deciding whether a block
   // with program-fail history may be reused is the FTL's call, not ours.
-  bad_.clear();
+  bad_.reset();
   write_ptr_ = 0;
   ++erase_count_;
 }
 
 std::uint64_t Block::ResidentBytesEstimate() const {
-  std::uint64_t bytes = pages_.capacity() * sizeof(PageData);
-  for (const PageData& p : pages_) bytes += p.bytes.capacity();
-  bytes += bad_.capacity() / 8;
+  if (pages_ == nullptr) return 0;
+  std::uint64_t bytes =
+      static_cast<std::uint64_t>(pages_per_block_) * sizeof(PageData);
+  for (std::uint32_t i = 0; i < pages_per_block_; ++i) {
+    bytes += pages_[i].bytes.capacity();
+  }
+  if (bad_ != nullptr) bytes += BadWords() * sizeof(std::uint64_t);
   return bytes;
 }
 

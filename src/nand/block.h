@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "nand/page_data.h"
 
@@ -13,10 +13,10 @@ namespace insider::nand {
 /// whole block is erased.
 ///
 /// Page storage is lazy: a freshly constructed block owns no page records at
-/// all (an empty paper-scale device has 131,072 of these), and the payload
-/// vector materializes in full on the first program so `const PageData*`
-/// handed out by Read() stays stable for the block's whole program/erase
-/// cycle.
+/// all (an empty paper-scale device has 131,072 of these, 32 bytes each),
+/// and the page array materializes in full on the first program so
+/// `const PageData*` handed out by Read() stays stable for the block's whole
+/// program/erase cycle.
 class Block {
  public:
   explicit Block(std::uint32_t pages_per_block)
@@ -45,7 +45,8 @@ class Block {
 
   /// True when the page was consumed by a failed program (unreadable).
   bool IsBadPage(std::uint32_t page) const {
-    return page < bad_.size() && bad_[page];
+    return page < write_ptr_ && bad_ != nullptr &&
+           ((bad_[page / 64] >> (page % 64)) & 1u) != 0;
   }
 
   /// Read a programmed page. Returns nullptr for erased pages and burned
@@ -54,19 +55,22 @@ class Block {
 
   void Erase();
 
-  /// True once the page-record vector has been allocated (first program).
-  bool Materialized() const { return !pages_.empty(); }
+  /// True once the page-record array has been allocated (first program).
+  bool Materialized() const { return pages_ != nullptr; }
 
   /// Resident heap estimate for the footprint regression tests: page-record
-  /// vector + payload bytes + bad-page bitmap.
+  /// array + payload bytes + bad-page bitmap.
   std::uint64_t ResidentBytesEstimate() const;
 
  private:
   void MaterializePages();
+  std::uint32_t BadWords() const { return (pages_per_block_ + 63) / 64; }
 
-  std::vector<PageData> pages_;  ///< empty until the first program
-  /// Lazily sized to pages_per_block on the first burn; empty = no bad pages.
-  std::vector<bool> bad_;
+  /// pages_per_block_ records once the block is first programmed; null
+  /// before.
+  std::unique_ptr<PageData[]> pages_;
+  /// One bit per page, allocated on the first burn; null = no bad pages.
+  std::unique_ptr<std::uint64_t[]> bad_;
   std::uint32_t pages_per_block_ = 0;
   std::uint32_t write_ptr_ = 0;
   std::uint64_t erase_count_ = 0;

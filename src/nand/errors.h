@@ -39,9 +39,6 @@ struct ErrorModel {
   double erase_fail_prob = 0.0;
 
   bool Enabled() const { return base_ber > 0.0; }
-  bool FaultsEnabled() const {
-    return program_fail_prob > 0.0 || erase_fail_prob > 0.0;
-  }
 
   double EffectiveBer(std::uint64_t erase_count) const {
     return base_ber * (1.0 + static_cast<double>(erase_count) * wear_factor);

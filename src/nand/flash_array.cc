@@ -10,10 +10,11 @@ FlashArray::FlashArray(const Geometry& geometry, const LatencyModel& latency,
                        const ErrorModel& errors, std::uint64_t error_seed)
     : geo_(geometry), latency_(latency), errors_(errors),
       error_rng_(error_seed),
+      chip_busy_until_(geometry.TotalChips(), 0),
       channel_busy_until_(geometry.channels, 0) {
-  chips_.reserve(geo_.TotalChips());
-  for (std::uint32_t i = 0; i < geo_.TotalChips(); ++i) {
-    chips_.emplace_back(geo_.blocks_per_chip, geo_.pages_per_block);
+  blocks_.reserve(static_cast<std::size_t>(geo_.TotalBlocks()));
+  for (std::uint64_t i = 0; i < geo_.TotalBlocks(); ++i) {
+    blocks_.emplace_back(geo_.pages_per_block);
   }
 }
 
@@ -34,11 +35,11 @@ void FlashArray::AttachObs(obs::Tracer* tracer,
 
 SimTime FlashArray::Occupy(std::uint32_t chip, SimTime now, SimTime die_time,
                            SimTime bus_time, bool bus_first) {
-  SimTime start = std::max(now, chips_[chip].BusyUntil());
+  SimTime start = std::max(now, chip_busy_until_[chip]);
   std::int64_t chip_arg = static_cast<std::int64_t>(chip);
   if (bus_time == 0) {  // erase: pure cell work, the channel is untouched
     SimTime done = start + die_time;
-    chips_[chip].SetBusyUntil(done);
+    chip_busy_until_[chip] = done;
     obs::EmitSpan(tracer_, "nand.cell_erase", "nand", chip, start, done,
                   chip_arg, "chip");
     if (cell_erase_hist_ != nullptr) {
@@ -77,7 +78,7 @@ SimTime FlashArray::Occupy(std::uint32_t chip, SimTime now, SimTime die_time,
     }
   }
   if (bus_hist_ != nullptr) bus_hist_->Add(static_cast<double>(bus_time));
-  chips_[chip].SetBusyUntil(done);
+  chip_busy_until_[chip] = done;
   return done;
 }
 
@@ -122,9 +123,7 @@ bool FlashArray::SampleFault(FaultKind kind, std::uint64_t op_index,
 NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
   if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, nullptr};
   std::uint32_t chip = geo_.ChipOf(ppa);
-  // Const access so reads of pristine blocks never materialize them.
-  const Block& block =
-      std::as_const(chips_[chip]).BlockAt(geo_.BlockOf(ppa));
+  const Block& block = blocks_[ppa / geo_.pages_per_block];
   std::uint32_t page = geo_.PageOf(ppa);
   if (block.IsProgrammed(page) && block.IsBadPage(page)) {
     // A burned page always reads uncorrectable: the failed program left its
@@ -157,19 +156,40 @@ NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
 }
 
 NandResult FlashArray::ProgramPage(Ppa ppa, PageData data, SimTime now) {
+  return Program(ppa, std::move(data), now, FaultKind::kProgramFail,
+                 errors_.program_fail_prob, counters_.page_programs,
+                 counters_.program_fails);
+}
+
+NandResult FlashArray::ProgramMetaPage(Ppa ppa, PageData data, SimTime now) {
+  return Program(ppa, std::move(data), now, FaultKind::kMetaProgramFail, 0.0,
+                 counters_.meta_page_programs, counters_.meta_program_fails);
+}
+
+NandResult FlashArray::EraseBlock(BlockAddr addr, SimTime now) {
+  return Erase(addr, now, FaultKind::kEraseFail, errors_.erase_fail_prob,
+               counters_.block_erases, counters_.erase_fails);
+}
+
+NandResult FlashArray::EraseMetaBlock(BlockAddr addr, SimTime now) {
+  return Erase(addr, now, FaultKind::kMetaEraseFail, 0.0,
+               counters_.meta_block_erases, counters_.meta_erase_fails);
+}
+
+NandResult FlashArray::Program(Ppa ppa, PageData data, SimTime now,
+                               FaultKind fault, double fail_prob,
+                               std::uint64_t& programs,
+                               std::uint64_t& fails) {
   if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, nullptr};
   std::uint32_t chip = geo_.ChipOf(ppa);
-  Block& block = chips_[chip].BlockAt(geo_.BlockOf(ppa));
+  Block& block = blocks_[ppa / geo_.pages_per_block];
   std::uint32_t page = geo_.PageOf(ppa);
   if (block.IsFull()) return {NandStatus::kProgramToFullBlock, now, nullptr};
-  std::uint64_t attempt =
-      counters_.page_programs + counters_.program_fails + 1;
-  if (SampleFault(FaultKind::kProgramFail, attempt, now,
-                  errors_.program_fail_prob)) {
+  if (SampleFault(fault, programs + fails + 1, now, fail_prob)) {
     if (!block.BurnPage(page)) {
       return {NandStatus::kProgramOutOfOrder, now, nullptr};
     }
-    ++counters_.program_fails;
+    ++fails;
     // A failed program holds the die for the full program time — the status
     // check only reports failure at the end of the operation.
     SimTime done = Occupy(chip, now, latency_.page_program,
@@ -179,28 +199,30 @@ NandResult FlashArray::ProgramPage(Ppa ppa, PageData data, SimTime now) {
   if (!block.Program(page, std::move(data))) {
     return {NandStatus::kProgramOutOfOrder, now, nullptr};
   }
-  ++counters_.page_programs;
+  ++programs;
   SimTime done = Occupy(chip, now, latency_.page_program,
                         latency_.channel_transfer, /*bus_first=*/true);
   return {NandStatus::kOk, done, nullptr};
 }
 
-NandResult FlashArray::EraseBlock(BlockAddr addr, SimTime now) {
+NandResult FlashArray::Erase(BlockAddr addr, SimTime now, FaultKind fault,
+                             double fail_prob, std::uint64_t& erases,
+                             std::uint64_t& fails) {
   if (addr.chip >= geo_.TotalChips() || addr.block >= geo_.blocks_per_chip) {
     return {NandStatus::kBadAddress, now, nullptr};
   }
-  std::uint64_t attempt = counters_.block_erases + counters_.erase_fails + 1;
-  if (SampleFault(FaultKind::kEraseFail, attempt, now,
-                  errors_.erase_fail_prob)) {
-    ++counters_.erase_fails;
+  if (SampleFault(fault, erases + fails + 1, now, fail_prob)) {
+    ++fails;
     // Failed erase: the block's contents are untouched; the die was still
     // busy for the erase pulse.
     SimTime done = Occupy(addr.chip, now, latency_.block_erase, 0,
                           /*bus_first=*/false);
     return {NandStatus::kEraseFail, done, nullptr};
   }
-  chips_[addr.chip].BlockAt(addr.block).Erase();
-  ++counters_.block_erases;
+  const std::size_t block_id =
+      static_cast<std::size_t>(addr.chip) * geo_.blocks_per_chip + addr.block;
+  blocks_[block_id].Erase();
+  ++erases;
   SimTime done =
       Occupy(addr.chip, now, latency_.block_erase, 0, /*bus_first=*/false);
   return {NandStatus::kOk, done, nullptr};
@@ -213,99 +235,49 @@ void FlashArray::SetMetadataBlocks(std::vector<std::uint64_t> block_ids) {
   }
 }
 
-NandResult FlashArray::ProgramMetaPage(Ppa ppa, PageData data, SimTime now) {
-  if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, nullptr};
-  std::uint32_t chip = geo_.ChipOf(ppa);
-  Block& block = chips_[chip].BlockAt(geo_.BlockOf(ppa));
-  std::uint32_t page = geo_.PageOf(ppa);
-  if (block.IsFull()) return {NandStatus::kProgramToFullBlock, now, nullptr};
-  std::uint64_t attempt =
-      counters_.meta_page_programs + counters_.meta_program_fails + 1;
-  if (plan_.Consume(FaultKind::kMetaProgramFail, attempt, now)) {
-    if (!block.BurnPage(page)) {
-      return {NandStatus::kProgramOutOfOrder, now, nullptr};
-    }
-    ++counters_.meta_program_fails;
-    SimTime done = Occupy(chip, now, latency_.page_program,
-                          latency_.channel_transfer, /*bus_first=*/true);
-    return {NandStatus::kProgramFail, done, nullptr};
-  }
-  if (!block.Program(page, std::move(data))) {
-    return {NandStatus::kProgramOutOfOrder, now, nullptr};
-  }
-  ++counters_.meta_page_programs;
-  SimTime done = Occupy(chip, now, latency_.page_program,
-                        latency_.channel_transfer, /*bus_first=*/true);
-  return {NandStatus::kOk, done, nullptr};
-}
-
-NandResult FlashArray::EraseMetaBlock(BlockAddr addr, SimTime now) {
-  if (addr.chip >= geo_.TotalChips() || addr.block >= geo_.blocks_per_chip) {
-    return {NandStatus::kBadAddress, now, nullptr};
-  }
-  std::uint64_t attempt =
-      counters_.meta_block_erases + counters_.meta_erase_fails + 1;
-  if (plan_.Consume(FaultKind::kMetaEraseFail, attempt, now)) {
-    ++counters_.meta_erase_fails;
-    SimTime done = Occupy(addr.chip, now, latency_.block_erase, 0,
-                          /*bus_first=*/false);
-    return {NandStatus::kEraseFail, done, nullptr};
-  }
-  chips_[addr.chip].BlockAt(addr.block).Erase();
-  ++counters_.meta_block_erases;
-  SimTime done =
-      Occupy(addr.chip, now, latency_.block_erase, 0, /*bus_first=*/false);
-  return {NandStatus::kOk, done, nullptr};
-}
-
 bool FlashArray::IsProgrammed(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return false;
-  const Block& block =
-      chips_[geo_.ChipOf(ppa)].BlockAt(geo_.BlockOf(ppa));
-  return block.IsProgrammed(geo_.PageOf(ppa));
+  return blocks_[ppa / geo_.pages_per_block].IsProgrammed(geo_.PageOf(ppa));
 }
 
 bool FlashArray::IsBadPage(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return false;
-  const Block& block =
-      chips_[geo_.ChipOf(ppa)].BlockAt(geo_.BlockOf(ppa));
-  return block.IsBadPage(geo_.PageOf(ppa));
-}
-
-std::uint64_t FlashArray::TotalEraseCount() const {
-  std::uint64_t total = 0;
-  for (const Chip& c : chips_) total += c.TotalEraseCount();
-  return total;
+  return blocks_[ppa / geo_.pages_per_block].IsBadPage(geo_.PageOf(ppa));
 }
 
 const PageData* FlashArray::PeekPage(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return nullptr;
-  const Block& block =
-      chips_[geo_.ChipOf(ppa)].BlockAt(geo_.BlockOf(ppa));
-  return block.Read(geo_.PageOf(ppa));
+  return blocks_[ppa / geo_.pages_per_block].Read(geo_.PageOf(ppa));
 }
 
-std::uint64_t FlashArray::MaterializedBlocks() const {
-  std::uint64_t n = 0;
-  for (const Chip& c : chips_) n += c.MaterializedBlocks();
-  return n;
-}
-
-std::uint64_t FlashArray::ResidentBytesEstimate() const {
-  std::uint64_t bytes = chips_.capacity() * sizeof(Chip) +
-                        channel_busy_until_.capacity() * sizeof(SimTime);
-  for (const Chip& c : chips_) bytes += c.ResidentBytesEstimate();
-  return bytes;
+std::uint64_t FlashArray::TotalEraseCount() const {
+  std::uint64_t total = 0;
+  for (const Block& b : blocks_) total += b.EraseCount();
+  return total;
 }
 
 std::uint64_t FlashArray::MaxEraseCount() const {
   std::uint64_t max_count = 0;
-  for (const Chip& c : chips_) {
-    for (std::uint32_t b = 0; b < c.BlockCount(); ++b) {
-      max_count = std::max(max_count, c.BlockAt(b).EraseCount());
-    }
+  for (const Block& b : blocks_) {
+    max_count = std::max(max_count, b.EraseCount());
   }
   return max_count;
+}
+
+std::uint64_t FlashArray::MaterializedBlocks() const {
+  std::uint64_t n = 0;
+  for (const Block& b : blocks_) n += b.Materialized() ? 1u : 0u;
+  return n;
+}
+
+std::uint64_t FlashArray::ResidentBytesEstimate() const {
+  std::uint64_t bytes =
+      blocks_.capacity() * sizeof(Block) +
+      (chip_busy_until_.capacity() + channel_busy_until_.capacity()) *
+          sizeof(SimTime) +
+      meta_blocks_.capacity();
+  for (const Block& b : blocks_) bytes += b.ResidentBytesEstimate();
+  return bytes;
 }
 
 }  // namespace insider::nand

@@ -1,6 +1,11 @@
 // The full NAND flash array: chips hanging off shared channel buses, with a
 // timing model for die and bus contention, plus operation counters that the
 // GC-cost experiments (Fig. 9) read.
+//
+// Every erase block lives in one flat vector indexed by global block id
+// (chip * blocks_per_chip + block), built eagerly; each block defers its
+// page storage until its first program. The FTL and its policies read write
+// pointers and erase counts straight from here.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +14,7 @@
 
 #include "common/rng.h"
 #include "common/time.h"
-#include "nand/chip.h"
+#include "nand/block.h"
 #include "nand/errors.h"
 #include "nand/fault_plan.h"
 #include "nand/geometry.h"
@@ -119,9 +124,9 @@ class FlashArray {
     return power_cut_ != nullptr && power_cut_(point);
   }
 
-  /// Direct state inspection for the FTL and tests.
-  const Block& BlockAt(BlockAddr addr) const {
-    return chips_[addr.chip].BlockAt(addr.block);
+  /// Direct state inspection for the FTL and tests, by global block id.
+  const Block& BlockAt(std::uint64_t block_id) const {
+    return blocks_[block_id];
   }
 
   /// Zero-time content inspection (FTL tombstone peeks, rebuild scans,
@@ -164,16 +169,27 @@ class FlashArray {
   NandStatus SampleReadErrors(std::uint64_t erase_count, SimTime& extra);
 
   /// Should this attempt of `kind` fail? Scripted plan first, then the
-  /// probabilistic model with probability `prob`.
+  /// probabilistic model with probability `prob` (0 never draws from the
+  /// shared error RNG).
   bool SampleFault(FaultKind kind, std::uint64_t op_index, SimTime now,
                    double prob);
+
+  /// Shared body of the data and metadata entry points: only the fault
+  /// kind, its probability and the (success, failure) counter pair differ.
+  NandResult Program(Ppa ppa, PageData data, SimTime now, FaultKind fault,
+                     double fail_prob, std::uint64_t& programs,
+                     std::uint64_t& fails);
+  NandResult Erase(BlockAddr addr, SimTime now, FaultKind fault,
+                   double fail_prob, std::uint64_t& erases,
+                   std::uint64_t& fails);
 
   Geometry geo_;
   LatencyModel latency_;
   ErrorModel errors_;
   Rng error_rng_;
   FaultPlan plan_;
-  std::vector<Chip> chips_;
+  std::vector<Block> blocks_;  ///< indexed by global block id
+  std::vector<SimTime> chip_busy_until_;
   std::vector<SimTime> channel_busy_until_;
   NandCounters counters_;
   /// Indexed by global block id; 1 = reserved metadata block.

@@ -124,7 +124,6 @@ class VersionStore {
 
   std::size_t ObjectCount() const { return objects_.size(); }
   std::size_t VersionCount() const { return record_count_; }
-  std::size_t ChainCount() const { return chains_.size(); }
 
   /// NAND bytes pinned by object pages.
   std::uint64_t StoreBytes(std::uint64_t page_size) const {

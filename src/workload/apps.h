@@ -16,6 +16,7 @@
 //                         WebSurfing, SqliteMessenger, OsUpdate.
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +55,15 @@ enum class AppCategory {
   kIoIntensive,
   kCpuIntensive,
   kNormal,
+};
+
+/// Fixed rotation of Table-I backgrounds covering every Fig. 7 category; the
+/// multi-tenant runs give their i-th benign tenant entry i % size().
+inline constexpr std::array<AppKind, 8> kTenantApps = {
+    AppKind::kWebSurfing,      AppKind::kP2pDownload,
+    AppKind::kOutlookSync,     AppKind::kSqliteMessenger,
+    AppKind::kInstall,         AppKind::kOsUpdate,
+    AppKind::kVideoDecode,     AppKind::kCompression,
 };
 
 const char* AppKindName(AppKind kind);

@@ -51,11 +51,4 @@ std::vector<TaggedRequest> Merge2(std::span<const IoRequest> a,
   return Merge(streams);
 }
 
-std::vector<IoRequest> Untag(std::span<const TaggedRequest> tagged) {
-  std::vector<IoRequest> out;
-  out.reserve(tagged.size());
-  for (const TaggedRequest& t : tagged) out.push_back(t.request);
-  return out;
-}
-
 }  // namespace insider::wl

@@ -23,7 +23,4 @@ std::vector<TaggedRequest> Merge(
 std::vector<TaggedRequest> Merge2(std::span<const IoRequest> a,
                                   std::span<const IoRequest> b);
 
-/// Strip tags.
-std::vector<IoRequest> Untag(std::span<const TaggedRequest> tagged);
-
 }  // namespace insider::wl

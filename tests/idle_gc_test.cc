@@ -2,7 +2,10 @@
 // time, honoring retained backups exactly like foreground GC.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ftl/page_ftl.h"
+#include "ftl/policy.h"
 #include "nand/geometry.h"
 
 namespace insider::ftl {
@@ -42,6 +45,48 @@ TEST(IdleGcTest, SkipsExpensiveBlocks) {
   // A generous budget takes them.
   reclaimed = ftl.IdleCollect(0, 2, /*max_movable=*/7);
   EXPECT_GT(reclaimed, 0u);
+  EXPECT_EQ(ftl.CheckInvariants(), "");
+}
+
+/// A legal but adversarial victim policy: among reclaimable blocks within
+/// the cap, take the one with the *most* movable pages.
+class CostliestWithinCapPolicy final : public VictimPolicy {
+ public:
+  const char* Name() const override { return "costliest-within-cap"; }
+  std::uint32_t SelectVictim(const PolicyView& view,
+                             std::uint32_t max_movable) override {
+    std::uint32_t victim = kNoVictim;
+    for (std::uint32_t b = 0; b < view.TotalBlocks(); ++b) {
+      if (view.IsActive(b) || view.IsOutOfService(b) || !view.IsFull(b)) {
+        continue;
+      }
+      const std::uint32_t movable = view.MovablePages(b);
+      if (movable > max_movable) continue;
+      if (victim == kNoVictim || movable > view.MovablePages(victim)) {
+        victim = b;
+      }
+    }
+    return victim;
+  }
+};
+
+TEST(IdleGcTest, CapBindsEveryVictimPolicy) {
+  PageFtl ftl(Cfg(false));
+  ftl.SetVictimPolicy(std::make_unique<CostliestWithinCapPolicy>());
+  Lba n = ftl.ExportedLbas();
+  for (Lba lba = 0; lba < n; ++lba) ftl.WritePage(lba, {1, {}}, 0);
+  // Writes stripe round-robin over the 4 chips, so LBAs [0, 32) fill block
+  // 0 of every chip: rewriting them leaves 4 fully invalid blocks. One
+  // rewrite in each of a few later blocks leaves those with 7 movable pages.
+  for (Lba lba = 0; lba < 32; ++lba) ftl.WritePage(lba, {2, {}}, 0);
+  for (Lba lba = 64; lba < n; lba += 32) ftl.WritePage(lba, {2, {}}, 0);
+
+  const std::uint64_t copies_before = ftl.Stats().gc_page_copies;
+  const std::uint32_t max_movable = 2;
+  std::size_t reclaimed = ftl.IdleCollect(0, /*max_blocks=*/4, max_movable);
+  EXPECT_GT(reclaimed, 0u);
+  EXPECT_LE(ftl.Stats().gc_page_copies - copies_before,
+            max_movable * reclaimed);
   EXPECT_EQ(ftl.CheckInvariants(), "");
 }
 

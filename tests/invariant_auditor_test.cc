@@ -113,25 +113,6 @@ TEST(InvariantAuditorTest, DetectsDanglingBackupAfterRogueErase) {
   EXPECT_TRUE(report.Has(Kind::kDanglingBackup)) << report.Diff();
 }
 
-// The same rogue erase leaves the FTL's dense block mirror (write pointer,
-// erase count) disagreeing with NAND: invariant G1.
-TEST(InvariantAuditorTest, DetectsBlockMirrorDriftFromMedia) {
-  PageFtl ftl(SmallConfig());
-  ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
-  ASSERT_TRUE(InvariantAuditor::Audit(ftl).ok());
-
-  FtlStateTamperer(ftl).EraseNandBlockUnder(*ftl.Lookup(5));
-
-  AuditReport report = InvariantAuditor::Audit(ftl, /*max_violations=*/64);
-  bool mirror_flagged = false;
-  for (const InvariantViolation& v : report.violations) {
-    mirror_flagged = mirror_flagged || (v.kind == Kind::kStructural &&
-                                        v.where.find("mirror") !=
-                                            std::string::npos);
-  }
-  EXPECT_TRUE(mirror_flagged) << report.Diff();
-}
-
 // Violation class 2b — out-of-window backup: the queue front is older than
 // the last release horizon, i.e. an entry that should have been released is
 // still guarding a page.

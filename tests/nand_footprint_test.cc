@@ -52,7 +52,7 @@ TEST(PaperScaleFootprintTest, EmptyPaperScaleArrayCostsMegabytes) {
   nand::FlashArray array(nand::Geometry::PaperScale(),
                          nand::LatencyModel::Zero());
   EXPECT_EQ(array.MaterializedBlocks(), 0u);
-  // 131,072 block-pointer slots + 64 chip objects: low single-digit MiB.
+  // 131,072 flat block headers, no page storage: low single-digit MiB.
   EXPECT_LT(array.ResidentBytesEstimate(), 8u << 20);
 }
 

@@ -11,9 +11,9 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "ftl/block_table.h"
 #include "ftl/page_ftl.h"
 #include "ftl/policy.h"
+#include "ftl/victim_index.h"
 
 namespace insider::ftl {
 namespace {

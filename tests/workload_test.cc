@@ -272,14 +272,6 @@ TEST(MixerTest, TieBreaksBySource) {
   EXPECT_EQ(merged[1].source, 1u);
 }
 
-TEST(MixerTest, UntagStripsSources) {
-  std::vector<IoRequest> a{{1000, 1, 1, IoMode::kRead}};
-  std::vector<IoRequest> b{{500, 2, 1, IoMode::kWrite}};
-  std::vector<IoRequest> flat = Untag(Merge2(a, b));
-  ASSERT_EQ(flat.size(), 2u);
-  EXPECT_EQ(flat[0].lba, 2u);
-}
-
 TEST(TraceTest, RoundTripThroughText) {
   std::vector<IoRequest> reqs{{1000, 5, 8, IoMode::kRead},
                               {2000, 9, 1, IoMode::kWrite},

@@ -174,7 +174,7 @@ TEST(InsiderLintTest, RawThreadRuleExemptsOnlyParallelForAndLog) {
                        "raw-thread"));
   EXPECT_TRUE(HasRule(LintSource("src/io/io_engine.cc", threaded),
                       "raw-thread"));
-  EXPECT_TRUE(HasRule(LintSource("src/common/arena.h", threaded),
+  EXPECT_TRUE(HasRule(LintSource("src/common/lazy_table.h", threaded),
                       "raw-thread"));
   EXPECT_FALSE(
       HasRule(LintSource("src/common/log.cc",
