@@ -149,7 +149,7 @@ PageFtl::PageFtl(const FtlConfig& config)
     : config_(config),
       nand_(config.geometry, config.latency, config.errors,
             config.error_seed),
-      queue_(config.recovery_queue_capacity),
+      queue_(config.geometry.TotalPages(), config.recovery_queue_capacity),
       allocation_(MakeAllocationPolicy(config)),
       victim_(MakeVictimPolicy(config)),
       retention_error_(ValidateRetentionConfig(config)),
@@ -372,8 +372,7 @@ const nand::PageData* PageFtl::RawPage(nand::Ppa ppa) const {
   return nand_.PeekPage(ppa);
 }
 
-void PageFtl::ReleaseExpired(SimTime now) {
-  if (!config_.delayed_deletion) return;
+void PageFtl::ReleaseDue(SimTime now) {
   MutationAudit audit_scope(*this, "ReleaseExpired");
   JournalBatchScope journal_scope(*this, now);
   const std::size_t ring_before = queue_.Size();

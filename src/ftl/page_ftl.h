@@ -32,6 +32,7 @@
 // the live one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -186,8 +187,20 @@ class PageFtl {
 
   /// Release recovery-queue entries older than the retention window. The
   /// I/O paths call this implicitly; exposed so the firmware scheduler can
-  /// age backups out during idle time too.
-  void ReleaseExpired(SimTime now);
+  /// age backups out during idle time too. Returns inline when nothing is
+  /// due: no ring entry or trim at or before the horizon, and no store
+  /// chain due for pruning.
+  void ReleaseExpired(SimTime now) {
+    if (!config_.delayed_deletion) return;
+    const SimTime horizon = now - retention_window_;
+    if (!queue_.DueBy(horizon) &&
+        (trim_journal_.empty() || trim_journal_.front().time > horizon) &&
+        store_.NextDue() > now) {
+      last_release_horizon_ = std::max(last_release_horizon_, horizon);
+      return;
+    }
+    ReleaseDue(now);
+  }
 
   // Introspection -------------------------------------------------------
 
@@ -249,9 +262,9 @@ class PageFtl {
   WearStats Wear() const;
 
   /// Resident heap estimate of the capacity-proportional FTL state: lazily
-  /// chunked mapping tables plus the NAND array and dense per-block
-  /// bookkeeping. The paper-scale footprint regression pins this for an
-  /// empty 512 GB device (it must stay in the tens of megabytes).
+  /// chunked mapping tables, the recovery queue, the NAND array and dense
+  /// per-block bookkeeping. The paper-scale footprint regression pins this
+  /// for an empty 512 GB device (it must stay in the tens of megabytes).
   std::uint64_t ResidentBytesEstimate() const {
     std::uint64_t bytes = l2p_.ResidentBytes() + p2l_.ResidentBytes() +
                           page_state_.ResidentBytes() +
@@ -263,7 +276,7 @@ class PageFtl {
     for (const auto& pool : free_blocks_by_chip_) {
       bytes += pool.capacity() * sizeof(std::uint32_t);
     }
-    return bytes + nand_.ResidentBytesEstimate();
+    return bytes + queue_.ResidentBytes() + nand_.ResidentBytesEstimate();
   }
 
   /// True when this build compiled the INSIDER_AUDIT mutation hooks in
@@ -392,6 +405,9 @@ class PageFtl {
   /// reverse map and counters cleared (its live pages left beforehand).
   void ClearRetiredBlock(std::uint32_t block_id);
 
+  /// ReleaseExpired's out-of-line body: pops the due ring entries, prunes
+  /// the store and ages trims under the audit and journal scopes.
+  void ReleaseDue(SimTime now);
   void MarkInvalid(nand::Ppa ppa);
   void Retire(Lba lba, nand::Ppa old_ppa, SimTime now);
   /// Release one ring backup: archive it into the version store when its

@@ -8,44 +8,26 @@ std::optional<BackupEntry> RecoveryQueue::Push(Lba lba, nand::Ppa old_ppa,
                                                SimTime now) {
   std::optional<BackupEntry> evicted;
   while (capacity_ != 0 && live_ >= capacity_) {
-    BackupEntry front = entries_.front();
-    EraseIndex(front);
-    entries_.pop_front();
-    ++head_id_;
+    BackupEntry front = PopFront();
     if (front.old_ppa != nand::kInvalidPpa) {
       --live_;
       evicted = front;
       break;
     }
   }
-  assert(!by_ppa_.contains(old_ppa) &&
+  assert(old_ppa < id_of_.Size() && "PPA outside the id table");
+  assert(!Guards(old_ppa) &&
          "a physical page can guard at most one displaced version");
-  std::size_t id = head_id_ + entries_.size();
+  const auto id = static_cast<EntryId>(head_id_ + entries_.size());
   entries_.push_back(BackupEntry{lba, old_ppa, now});
-  by_ppa_.emplace(old_ppa, id);
+  id_of_.Set(old_ppa, id);
   ++live_;
   return evicted;
 }
 
-void RecoveryQueue::ReleaseUpTo(
-    SimTime horizon, const std::function<void(const BackupEntry&)>& release) {
-  while (!entries_.empty() && entries_.front().written_at <= horizon) {
-    BackupEntry e = entries_.front();
-    EraseIndex(e);
-    entries_.pop_front();
-    ++head_id_;
-    if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
-    --live_;
-    release(e);
-  }
-}
-
 std::optional<BackupEntry> RecoveryQueue::PopOldest() {
   while (!entries_.empty()) {
-    BackupEntry e = entries_.front();
-    EraseIndex(e);
-    entries_.pop_front();
-    ++head_id_;
+    BackupEntry e = PopFront();
     if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
     --live_;
     return e;
@@ -54,42 +36,23 @@ std::optional<BackupEntry> RecoveryQueue::PopOldest() {
 }
 
 bool RecoveryQueue::Relocate(nand::Ppa from_ppa, nand::Ppa to_ppa) {
-  auto it = by_ppa_.find(from_ppa);
-  if (it == by_ppa_.end()) return false;
-  std::size_t id = it->second;
-  by_ppa_.erase(it);
-  BackupEntry& e = entries_[id - head_id_];
-  e.old_ppa = to_ppa;
-  by_ppa_.emplace(to_ppa, id);
+  std::optional<std::size_t> offset = OffsetOf(from_ppa);
+  if (!offset) return false;
+  assert(to_ppa < id_of_.Size() && !Guards(to_ppa));
+  const EntryId id = id_of_.Get(from_ppa);
+  id_of_.Set(from_ppa, kNoId);
+  entries_[*offset].old_ppa = to_ppa;
+  id_of_.Set(to_ppa, id);
   return true;
-}
-
-std::size_t RecoveryQueue::RollBack(
-    SimTime horizon, const std::function<void(const BackupEntry&)>& revert) {
-  std::size_t reverted = 0;
-  while (!entries_.empty() && entries_.back().written_at > horizon) {
-    BackupEntry e = entries_.back();
-    EraseIndex(e);
-    entries_.pop_back();
-    if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
-    --live_;
-    revert(e);
-    ++reverted;
-  }
-  return reverted;
 }
 
 bool RecoveryQueue::Drop(nand::Ppa ppa) {
-  auto it = by_ppa_.find(ppa);
-  if (it == by_ppa_.end()) return false;
-  entries_[it->second - head_id_].old_ppa = nand::kInvalidPpa;
-  by_ppa_.erase(it);
+  std::optional<std::size_t> offset = OffsetOf(ppa);
+  if (!offset) return false;
+  entries_[*offset].old_ppa = nand::kInvalidPpa;
+  id_of_.Set(ppa, kNoId);
   --live_;
   return true;
-}
-
-void RecoveryQueue::EraseIndex(const BackupEntry& e) {
-  if (e.old_ppa != nand::kInvalidPpa) by_ppa_.erase(e.old_ppa);
 }
 
 }  // namespace insider::ftl

@@ -22,6 +22,10 @@ std::vector<DramRow> ActualDramBudget(const core::DetectorConfig& detector,
        detector.table.max_entries},
       {"Recovery queue", sizeof(ftl::BackupEntry),
        ftl.recovery_queue_capacity},
+      // One entry id per physical page, fully materialized (worst case:
+      // chunks are allocated only where retained pages live).
+      {"Recovery queue index", ftl::RecoveryQueue::IndexEntryBytes(),
+       ftl.geometry.TotalPages()},
   };
 }
 

@@ -96,6 +96,8 @@ class VersionStore {
   /// expired (tracks the next due time); called from the FTL's periodic
   /// release path.
   void PruneExpired(SimTime now, const ReleaseFn& release);
+  /// Earliest time PruneExpired() could have work; max() when none pending.
+  SimTime NextDue() const { return next_due_; }
 
   /// Space-pressure valve: drops the globally oldest records until at least
   /// `max_pages` object pages were freed or the store is empty. Returns the

@@ -142,8 +142,10 @@ TEST(FtlMediaErrorTest, GcSurvivesLostPages) {
 
 // --- Recovery-queue tombstones ---------------------------------------------
 
+constexpr std::size_t kQueuePpas = 4096;  // id-table size for these tests
+
 TEST(QueueDropTest, DropRemovesGuardAndSize) {
-  ftl::RecoveryQueue q;
+  ftl::RecoveryQueue q(kQueuePpas, 0);
   q.Push(1, 100, 1);
   q.Push(2, 101, 2);
   EXPECT_TRUE(q.Drop(100));
@@ -153,7 +155,7 @@ TEST(QueueDropTest, DropRemovesGuardAndSize) {
 }
 
 TEST(QueueDropTest, PopsSkipTombstones) {
-  ftl::RecoveryQueue q;
+  ftl::RecoveryQueue q(kQueuePpas, 0);
   q.Push(1, 100, 1);
   q.Push(2, 101, 2);
   q.Push(3, 102, 3);
@@ -164,7 +166,7 @@ TEST(QueueDropTest, PopsSkipTombstones) {
 }
 
 TEST(QueueDropTest, RollbackSkipsTombstones) {
-  ftl::RecoveryQueue q;
+  ftl::RecoveryQueue q(kQueuePpas, 0);
   q.Push(1, 100, Seconds(20));
   q.Push(2, 101, Seconds(21));
   q.Drop(101);
@@ -176,7 +178,7 @@ TEST(QueueDropTest, RollbackSkipsTombstones) {
 }
 
 TEST(QueueDropTest, ReleaseSkipsTombstones) {
-  ftl::RecoveryQueue q;
+  ftl::RecoveryQueue q(kQueuePpas, 0);
   q.Push(1, 100, 1);
   q.Push(2, 101, 2);
   q.Drop(100);
@@ -187,7 +189,7 @@ TEST(QueueDropTest, ReleaseSkipsTombstones) {
 }
 
 TEST(QueueDropTest, CapacityCountsLiveEntriesOnly) {
-  ftl::RecoveryQueue q(2);
+  ftl::RecoveryQueue q(kQueuePpas, 2);
   q.Push(1, 100, 1);
   q.Push(2, 101, 2);
   q.Drop(100);
@@ -198,7 +200,7 @@ TEST(QueueDropTest, CapacityCountsLiveEntriesOnly) {
 }
 
 TEST(QueueDropTest, RelocateAfterDropFails) {
-  ftl::RecoveryQueue q;
+  ftl::RecoveryQueue q(kQueuePpas, 0);
   q.Push(1, 100, 1);
   q.Drop(100);
   EXPECT_FALSE(q.Relocate(100, 200));

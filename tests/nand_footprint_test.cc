@@ -70,5 +70,32 @@ TEST(PaperScaleFootprintTest, EmptyPaperScaleFtlStaysUnder64MiB) {
   EXPECT_EQ(r.data.stamp, 123u);
 }
 
+/// Estimate growth from writing `n` LBAs at t=0 and overwriting them all
+/// 1 s later, inside the 10 s retention window.
+std::uint64_t OverwriteGrowth(bool delayed, Lba n) {
+  ftl::FtlConfig config;
+  config.geometry = nand::TestGeometry();
+  config.latency = nand::LatencyModel::Zero();
+  config.delayed_deletion = delayed;
+  ftl::PageFtl ftl(config);
+  for (Lba lba = 0; lba < n; ++lba) {
+    EXPECT_TRUE(ftl.WritePage(lba, {lba, {}}, 0).ok());
+  }
+  const std::uint64_t before = ftl.ResidentBytesEstimate();
+  for (Lba lba = 0; lba < n; ++lba) {
+    EXPECT_TRUE(ftl.WritePage(lba, {lba + n, {}}, Seconds(1)).ok());
+  }
+  EXPECT_EQ(ftl.RecoveryQueueSize(), delayed ? n : 0u);
+  return ftl.ResidentBytesEstimate() - before;
+}
+
+TEST(FtlFootprintTest, EstimateCountsRecoveryQueue) {
+  // Both runs program the same pages, so mapping tables and NAND grow
+  // alike; only the retained backups tell them apart.
+  constexpr Lba kN = 64;
+  EXPECT_GE(OverwriteGrowth(true, kN),
+            OverwriteGrowth(false, kN) + kN * sizeof(ftl::BackupEntry));
+}
+
 }  // namespace
 }  // namespace insider

@@ -212,5 +212,17 @@ TEST(DramTest, ActualBudgetScalesWithConfig) {
   EXPECT_GT(bigger[2].Megabytes(), base[2].Megabytes());
 }
 
+TEST(DramTest, QueueIndexCostsFourBytesPerPhysicalPage) {
+  core::DetectorConfig d;
+  ftl::FtlConfig f;
+  f.geometry = nand::Geometry::PaperScale();
+  std::vector<DramRow> rows = ActualDramBudget(d, f);
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[3].structure, "Recovery queue index");
+  EXPECT_EQ(rows[3].unit_bytes, 4u);
+  EXPECT_EQ(rows[3].entries, f.geometry.TotalPages());
+  EXPECT_NEAR(rows[3].Megabytes(), 512.0, 0.01);
+}
+
 }  // namespace
 }  // namespace insider::host
