@@ -1,6 +1,7 @@
 #include "fs/file_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -29,21 +30,23 @@ using BlockBuf = std::array<std::byte, kBlockSize>;
 
 FsStatus FileSystem::Mkfs(BlockDevice& device, std::uint32_t inode_count) {
   std::uint64_t total = device.BlockCount();
-  if (total < 8 || inode_count < 1) return FsStatus::kBadFs;
-  SuperBlock sb = ComputeLayout(total, inode_count);
+  if (total < 8) return FsStatus::kBadFs;
+  auto layout = ComputeLayout(total, inode_count);
+  if (!layout) return FsStatus::kBadFs;
+  SuperBlock& sb = *layout;
 
   BlockBuf buf{};
   // Bitmap: metadata region used, the rest free.
+  std::array<std::uint64_t, kBitmapWordsPerBlock> words{};
   for (std::uint32_t b = 0; b < sb.bitmap_blocks; ++b) {
-    buf.fill(std::byte{0});
-    std::uint64_t first_bit = static_cast<std::uint64_t>(b) * kBlockSize * 8;
-    for (std::uint64_t bit = 0; bit < kBlockSize * 8; ++bit) {
-      std::uint64_t blockno = first_bit + bit;
-      if (blockno >= total) break;
-      if (blockno < sb.data_start) {
-        buf[bit / 8] |= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
-      }
+    BitmapSlice slice = BitmapBlockSlice(total, b);
+    std::size_t n = 0;  // words holding a block below data_start
+    while (n < slice.count && (slice.first + n) * 64 < sb.data_start) {
+      words[n] = BitsBelow(sb.data_start, slice.first + n);
+      ++n;
     }
+    buf.fill(std::byte{0});
+    StoreBitmapWords(std::span(words).first(n), buf);
     if (!device.WriteBlock(sb.bitmap_start + b, buf)) return FsStatus::kIoError;
   }
   // Inode table: all free except the root directory.
@@ -69,23 +72,21 @@ std::optional<FileSystem> FileSystem::Mount(BlockDevice& device) {
   if (!device.ReadBlock(0, buf)) return std::nullopt;
   SuperBlock sb;
   if (!SuperBlock::DeserializeFrom(buf, sb)) return std::nullopt;
-  if (sb.total_blocks != device.BlockCount()) return std::nullopt;
+  if (sb.total_blocks != device.BlockCount() || !LayoutValid(sb)) {
+    return std::nullopt;
+  }
 
   FileSystem fs(device);
   fs.sb_ = sb;
-  fs.bitmap_.assign(sb.total_blocks, 0);
+  fs.alloc_hint_ = sb.data_start;
+  fs.bitmap_.resize(BitmapWords(sb.total_blocks));
   for (std::uint32_t b = 0; b < sb.bitmap_blocks; ++b) {
     if (!device.ReadBlock(sb.bitmap_start + b, buf)) return std::nullopt;
-    std::uint64_t first_bit = static_cast<std::uint64_t>(b) * kBlockSize * 8;
-    for (std::uint64_t bit = 0; bit < kBlockSize * 8; ++bit) {
-      std::uint64_t blockno = first_bit + bit;
-      if (blockno >= sb.total_blocks) break;
-      bool used = (buf[bit / 8] &
-                   std::byte{static_cast<unsigned char>(1u << (bit % 8))}) !=
-                  std::byte{0};
-      fs.bitmap_[blockno] = used ? 1 : 0;
-    }
+    BitmapSlice slice = BitmapBlockSlice(sb.total_blocks, b);
+    LoadBitmapWords(buf, std::span(fs.bitmap_).subspan(slice.first,
+                                                       slice.count));
   }
+  fs.bitmap_.back() &= BitsBelow(sb.total_blocks, fs.bitmap_.size() - 1);
   fs.inode_used_.assign(sb.inode_count, 0);
   for (std::uint32_t b = 0; b < sb.inode_blocks; ++b) {
     if (!device.ReadBlock(sb.inode_start + b, buf)) return std::nullopt;
@@ -127,8 +128,8 @@ std::optional<std::uint32_t> FileSystem::AllocInode() {
   for (std::uint32_t i = 0; i < sb_.inode_count; ++i) {
     if (!inode_used_[i]) {
       inode_used_[i] = 1;
-      assert(sb_.free_inodes > 0);
-      --sb_.free_inodes;
+      // The count comes from disk and may be stale; fsck repairs it.
+      if (sb_.free_inodes > 0) --sb_.free_inodes;
       sb_dirty_ = true;
       return i;
     }
@@ -147,27 +148,38 @@ void FileSystem::FreeInode(std::uint32_t ino) {
 // Block allocation
 
 std::optional<std::uint32_t> FileSystem::AllocBlock() {
-  for (std::uint64_t b = sb_.data_start; b < sb_.total_blocks; ++b) {
-    if (!bitmap_[b]) {
-      bitmap_[b] = 1;
-      assert(sb_.free_blocks > 0);
-      --sb_.free_blocks;
-      sb_dirty_ = true;
-      dirty_bitmap_blocks_.push_back(
-          static_cast<std::uint32_t>(b / (kBlockSize * 8)));
-      return static_cast<std::uint32_t>(b);
-    }
+  // First fit. Every data block below alloc_hint_ is in use.
+  for (std::uint64_t w = alloc_hint_ / 64; w < bitmap_.size(); ++w) {
+    std::uint64_t avail = ~bitmap_[w] & BitsBelow(sb_.total_blocks, w) &
+                          ~BitsBelow(alloc_hint_, w);
+    if (avail == 0) continue;
+    std::uint64_t b = w * 64 + static_cast<unsigned>(std::countr_zero(avail));
+    bitmap_[w] |= std::uint64_t{1} << (b % 64);
+    alloc_hint_ = b + 1;
+    // The count comes from disk and may be stale; fsck repairs it.
+    if (sb_.free_blocks > 0) --sb_.free_blocks;
+    sb_dirty_ = true;
+    dirty_bitmap_blocks_.push_back(
+        static_cast<std::uint32_t>(b / kBlocksPerBitmapBlock));
+    return static_cast<std::uint32_t>(b);
   }
+  alloc_hint_ = sb_.total_blocks;
   return std::nullopt;
 }
 
 void FileSystem::FreeBlock(std::uint32_t block, bool trim) {
-  assert(block >= sb_.data_start && block < sb_.total_blocks);
-  assert(bitmap_[block]);
-  bitmap_[block] = 0;
+  // Block pointers come from disk and may be corrupt until fsck runs. One
+  // outside the data region must not free, or trim, metadata; one to a free
+  // block must not count that block as free twice.
+  if (block < sb_.data_start || block >= sb_.total_blocks) return;
+  std::uint64_t bit = std::uint64_t{1} << (block % 64);
+  if (!(bitmap_[block / 64] & bit)) return;
+  bitmap_[block / 64] &= ~bit;
+  alloc_hint_ = std::min<std::uint64_t>(alloc_hint_, block);
   ++sb_.free_blocks;
   sb_dirty_ = true;
-  dirty_bitmap_blocks_.push_back(block / (kBlockSize * 8));
+  dirty_bitmap_blocks_.push_back(
+      static_cast<std::uint32_t>(block / kBlocksPerBitmapBlock));
   InvalidatePtrBlock(block);
   if (trim) device_->TrimBlock(block);
 }
@@ -233,14 +245,8 @@ bool FileSystem::FlushOneBitmapBlock() {
   std::uint32_t bb = dirty_bitmap_blocks_.back();
   dirty_bitmap_blocks_.pop_back();
   BlockBuf buf{};
-  std::uint64_t first = static_cast<std::uint64_t>(bb) * kBlockSize * 8;
-  for (std::uint64_t bit = 0; bit < kBlockSize * 8; ++bit) {
-    std::uint64_t blockno = first + bit;
-    if (blockno >= sb_.total_blocks) break;
-    if (bitmap_[blockno]) {
-      buf[bit / 8] |= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
-    }
-  }
+  BitmapSlice slice = BitmapBlockSlice(sb_.total_blocks, bb);
+  StoreBitmapWords(std::span(bitmap_).subspan(slice.first, slice.count), buf);
   return device_->WriteBlock(sb_.bitmap_start + bb, buf);
 }
 

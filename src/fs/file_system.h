@@ -98,7 +98,8 @@ class FileSystem {
   std::optional<std::uint32_t> AllocInode();
   void FreeInode(std::uint32_t ino);
 
-  // Block allocation (in-memory bitmap, flushed per-op).
+  // Block allocation (in-memory bitmap, flushed per-op). Exact first-fit
+  // over the bitmap, scanned 64 blocks per word from alloc_hint_.
   std::optional<std::uint32_t> AllocBlock();
   void FreeBlock(std::uint32_t block, bool trim);
   bool FlushMeta();  ///< write dirty bitmap blocks + superblock
@@ -146,7 +147,11 @@ class FileSystem {
 
   BlockDevice* device_;
   SuperBlock sb_;
-  std::vector<std::uint8_t> bitmap_;       ///< one byte per block (cached)
+  /// The block bitmap in its on-disk format (layout.h), cached. Bits past
+  /// total_blocks stay 0.
+  std::vector<std::uint64_t> bitmap_;
+  /// First-fit starts here: every data block below it is in use.
+  std::uint64_t alloc_hint_ = 0;
   std::vector<std::uint8_t> inode_used_;   ///< one byte per inode (cached)
   std::vector<std::uint32_t> dirty_bitmap_blocks_;
   bool sb_dirty_ = false;

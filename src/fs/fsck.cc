@@ -1,6 +1,7 @@
 #include "fs/fsck.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <deque>
 #include <sstream>
@@ -23,7 +24,9 @@ struct Ctx {
   std::vector<Inode> inodes;
   std::vector<std::uint8_t> inode_dirty;
   std::vector<std::uint8_t> reachable;
-  std::vector<std::uint8_t> claimed;  ///< per device block
+  /// Blocks in use, as a bitmap in the on-disk format (layout.h): the
+  /// metadata region plus every block the tree walk claimed.
+  std::vector<std::uint64_t> claimed;
 
   /// Claim a block for the tree walk. Returns false (and zeroes the caller's
   /// pointer) if the pointer is out of range or the block is already owned.
@@ -32,11 +35,12 @@ struct Ctx {
       ++report.bad_pointers;
       return false;
     }
-    if (claimed[block]) {
+    std::uint64_t bit = std::uint64_t{1} << (block % 64);
+    if (claimed[block / 64] & bit) {
       ++report.double_claimed_blocks;
       return false;
     }
-    claimed[block] = 1;
+    claimed[block / 64] |= bit;
     return true;
   }
 };
@@ -145,7 +149,7 @@ FsckReport Fsck(BlockDevice& device, bool repair) {
   BlockBuf buf{};
   if (!device.ReadBlock(0, buf) ||
       !SuperBlock::DeserializeFrom(buf, ctx.sb) ||
-      ctx.sb.total_blocks != device.BlockCount()) {
+      ctx.sb.total_blocks != device.BlockCount() || !LayoutValid(ctx.sb)) {
     return ctx.report;  // valid_superblock stays false
   }
   ctx.report.valid_superblock = true;
@@ -155,7 +159,10 @@ FsckReport Fsck(BlockDevice& device, bool repair) {
   ctx.inodes.resize(sb.inode_count);
   ctx.inode_dirty.assign(sb.inode_count, 0);
   ctx.reachable.assign(sb.inode_count, 0);
-  ctx.claimed.assign(sb.total_blocks, 0);
+  ctx.claimed.resize(BitmapWords(sb.total_blocks));
+  for (std::uint64_t w = 0; w * 64 < sb.data_start; ++w) {
+    ctx.claimed[w] = BitsBelow(sb.data_start, w);
+  }
   for (std::uint32_t b = 0; b < sb.inode_blocks; ++b) {
     if (!device.ReadBlock(sb.inode_start + b, buf)) return ctx.report;
     for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
@@ -226,29 +233,34 @@ FsckReport Fsck(BlockDevice& device, bool repair) {
   }
 
   // Bitmap: reachable claims + metadata vs the on-disk map.
-  std::uint64_t used_blocks = sb.data_start;
-  for (std::uint64_t b = sb.data_start; b < sb.total_blocks; ++b) {
-    if (ctx.claimed[b]) ++used_blocks;
+  std::uint64_t used_blocks = 0;
+  for (std::uint64_t word : ctx.claimed) {
+    used_blocks += static_cast<unsigned>(std::popcount(word));
   }
+  std::array<std::uint64_t, kBitmapWordsPerBlock> have{};
   for (std::uint32_t bb = 0; bb < sb.bitmap_blocks; ++bb) {
     if (!device.ReadBlock(sb.bitmap_start + bb, buf)) continue;
+    BitmapSlice slice = BitmapBlockSlice(sb.total_blocks, bb);
+    auto words = std::span(have).first(slice.count);
+    LoadBitmapWords(buf, words);
     bool dirty = false;
-    std::uint64_t first = static_cast<std::uint64_t>(bb) * kBlockSize * 8;
-    for (std::uint64_t bit = 0; bit < kBlockSize * 8; ++bit) {
-      std::uint64_t blockno = first + bit;
-      if (blockno >= sb.total_blocks) break;
-      bool want = blockno < sb.data_start || ctx.claimed[blockno];
-      auto mask = std::byte{static_cast<unsigned char>(1u << (bit % 8))};
-      bool have = (buf[bit / 8] & mask) != std::byte{0};
-      if (want != have) {
-        ++ctx.report.bitmap_mismatches;
-        if (repair) {
-          buf[bit / 8] = want ? (buf[bit / 8] | mask) : (buf[bit / 8] & ~mask);
-          dirty = true;
-        }
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      // Bits past total_blocks are neither counted nor repaired.
+      std::uint64_t w = slice.first + i;
+      std::uint64_t diff =
+          (ctx.claimed[w] ^ words[i]) & BitsBelow(sb.total_blocks, w);
+      if (diff == 0) continue;
+      ctx.report.bitmap_mismatches +=
+          static_cast<unsigned>(std::popcount(diff));
+      if (repair) {
+        words[i] ^= diff;
+        dirty = true;
       }
     }
-    if (dirty) device.WriteBlock(sb.bitmap_start + bb, buf);
+    if (dirty) {
+      StoreBitmapWords(words, buf);
+      device.WriteBlock(sb.bitmap_start + bb, buf);
+    }
   }
 
   // Superblock counters.

@@ -1,9 +1,15 @@
 #include "fs/layout.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace insider::fs {
+
+// Bitmap words and the integer fields are copied with memcpy, so the
+// on-disk format is little-endian only on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
 
 namespace {
 
@@ -103,21 +109,58 @@ DirEntry DirEntry::DeserializeFrom(std::span<const std::byte> src) {
   return e;
 }
 
-SuperBlock ComputeLayout(std::uint64_t total_blocks,
-                         std::uint32_t inode_count) {
+std::optional<SuperBlock> ComputeLayout(std::uint64_t total_blocks,
+                                        std::uint32_t inode_count) {
+  // Block pointers are 32-bit and 0 means "none".
+  if (inode_count < 1 || total_blocks > (std::uint64_t{1} << 32)) {
+    return std::nullopt;
+  }
   SuperBlock sb;
   sb.total_blocks = total_blocks;
   sb.inode_count = inode_count;
   sb.bitmap_start = 1;
   sb.bitmap_blocks = static_cast<std::uint32_t>(
-      (total_blocks + kBlockSize * 8 - 1) / (kBlockSize * 8));
+      (total_blocks + kBlocksPerBitmapBlock - 1) / kBlocksPerBitmapBlock);
   sb.inode_start = sb.bitmap_start + sb.bitmap_blocks;
-  sb.inode_blocks = (inode_count + kInodesPerBlock - 1) / kInodesPerBlock;
-  sb.data_start = sb.inode_start + sb.inode_blocks;
-  assert(sb.data_start < total_blocks);
+  sb.inode_blocks = static_cast<std::uint32_t>(
+      (std::uint64_t{inode_count} + kInodesPerBlock - 1) / kInodesPerBlock);
+  sb.data_start = std::uint64_t{sb.inode_start} + sb.inode_blocks;
+  if (sb.data_start >= total_blocks) return std::nullopt;
   sb.free_blocks = total_blocks - sb.data_start;
   sb.free_inodes = inode_count;  // root consumes one during mkfs
   return sb;
+}
+
+bool LayoutValid(const SuperBlock& sb) {
+  auto want = ComputeLayout(sb.total_blocks, sb.inode_count);
+  return want && sb.bitmap_start == want->bitmap_start &&
+         sb.bitmap_blocks == want->bitmap_blocks &&
+         sb.inode_start == want->inode_start &&
+         sb.inode_blocks == want->inode_blocks &&
+         sb.data_start == want->data_start;
+}
+
+BitmapSlice BitmapBlockSlice(std::uint64_t total_blocks, std::uint32_t bb) {
+  BitmapSlice s;
+  s.first = bb * kBitmapWordsPerBlock;
+  std::uint64_t words = BitmapWords(total_blocks);
+  if (s.first < words) {
+    s.count = static_cast<std::size_t>(
+        std::min(kBitmapWordsPerBlock, words - s.first));
+  }
+  return s;
+}
+
+void LoadBitmapWords(std::span<const std::byte> block,
+                     std::span<std::uint64_t> words) {
+  assert(block.size() == kBlockSize && words.size() <= kBitmapWordsPerBlock);
+  std::memcpy(words.data(), block.data(), words.size_bytes());
+}
+
+void StoreBitmapWords(std::span<const std::uint64_t> words,
+                      std::span<std::byte> block) {
+  assert(block.size() == kBlockSize && words.size() <= kBitmapWordsPerBlock);
+  std::memcpy(block.data(), words.data(), words.size_bytes());
 }
 
 }  // namespace insider::fs

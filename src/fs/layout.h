@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "fs/block_device.h"
@@ -90,7 +91,57 @@ struct DirEntry {
   static DirEntry DeserializeFrom(std::span<const std::byte> src);
 };
 
-/// Geometry derived from a device size: where each region lives.
-SuperBlock ComputeLayout(std::uint64_t total_blocks, std::uint32_t inode_count);
+/// Geometry derived from a device size: where each region lives. nullopt if
+/// the filesystem does not fit: no inodes, no data block left after the
+/// metadata, or more blocks than a 32-bit block pointer can address.
+std::optional<SuperBlock> ComputeLayout(std::uint64_t total_blocks,
+                                        std::uint32_t inode_count);
+
+/// True if `sb`'s region fields are the ones ComputeLayout derives from its
+/// total_blocks and inode_count. Mount and fsck refuse any other superblock:
+/// it is outside input, and every region walk trusts these fields.
+bool LayoutValid(const SuperBlock& sb);
+
+// Block bitmap -------------------------------------------------------------
+//
+// The on-disk bitmap and the in-memory one share a format: a bitset of
+// 64-bit words, block b at bit b % 64 of word b / 64. On disk each word is
+// stored little-endian, so byte i of a bitmap block holds blocks 8i..8i+7,
+// lowest bit first. Bits at or past total_blocks are no blocks: Mount drops
+// them, the filesystem writes them as 0, and fsck neither counts nor
+// repairs them.
+
+inline constexpr std::uint64_t kBlocksPerBitmapBlock = kBlockSize * 8;
+inline constexpr std::uint64_t kBitmapWordsPerBlock = kBlockSize / 8;
+
+/// Words in the bitset of a `total_blocks`-block filesystem.
+inline std::uint64_t BitmapWords(std::uint64_t total_blocks) {
+  return (total_blocks + 63) / 64;
+}
+
+/// Word `w` of the bitset in which exactly the blocks below `n` are set.
+/// BitsBelow(total_blocks, w) is the mask of word w's valid bits: all ones
+/// except in a partial last word.
+inline std::uint64_t BitsBelow(std::uint64_t n, std::uint64_t w) {
+  std::uint64_t first = w * 64;
+  if (n >= first + 64) return ~std::uint64_t{0};
+  if (n <= first) return 0;
+  return (std::uint64_t{1} << (n - first)) - 1;
+}
+
+/// The words of the bitset that bitmap block `bb` stores: [first, first +
+/// count). The last bitmap block may hold fewer than kBitmapWordsPerBlock.
+struct BitmapSlice {
+  std::uint64_t first = 0;
+  std::size_t count = 0;
+};
+BitmapSlice BitmapBlockSlice(std::uint64_t total_blocks, std::uint32_t bb);
+
+/// Copy `words.size()` words from the front of a bitmap block.
+void LoadBitmapWords(std::span<const std::byte> block,
+                     std::span<std::uint64_t> words);
+/// Copy `words` to the front of a bitmap block; the rest is left as is.
+void StoreBitmapWords(std::span<const std::uint64_t> words,
+                      std::span<std::byte> block);
 
 }  // namespace insider::fs
