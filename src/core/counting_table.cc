@@ -1,146 +1,245 @@
 #include "core/counting_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 namespace insider::core {
 
 CountingTable::CountingTable() : CountingTable(Config{}) {}
 
 CountingTable::CountingTable(const Config& config) : config_(config) {
-  assert(config_.max_entries > 0);
+  assert(config_.max_entries > 0 && config_.max_entries < kNil);
 }
 
-CountingTable::EntryMap::iterator CountingTable::FindRunContaining(Lba lba) {
-  auto it = entries_.upper_bound(lba);
-  if (it == entries_.begin()) return entries_.end();
-  --it;
-  const CountingEntry& e = it->second;
-  if (lba >= e.lba && lba < e.lba + e.rl) return it;
-  return entries_.end();
+CountingTable::SlotId CountingTable::NewRun(const CountingEntry& entry) {
+  SlotId id = free_head_;
+  if (id != kNil) {
+    free_head_ = runs_[id].newer;
+  } else {
+    id = static_cast<SlotId>(runs_.size());
+    runs_.emplace_back();
+  }
+  runs_[id].entry = entry;
+  ++live_runs_;
+  LinkByTime(id);
+  return id;
 }
 
-void CountingTable::EraseEntry(EntryMap::iterator it) {
-  const CountingEntry& e = it->second;
-  for (Lba b = e.lba; b < e.lba + e.rl; ++b) index_.erase(b);
-  by_time_.erase(e.time_it);
-  entries_.erase(it);
+void CountingTable::FreeRun(SlotId id) {
+  Unlink(id);
+  runs_[id].entry = CountingEntry{};  // rl == 0: free
+  runs_[id].newer = free_head_;
+  free_head_ = id;
+  --live_runs_;
 }
 
-void CountingTable::TouchEntry(EntryMap::iterator it, SliceIndex slice) {
-  CountingEntry& e = it->second;
+void CountingTable::EraseRun(SlotId id) {
+  const CountingEntry& e = runs_[id].entry;
+  for (std::uint32_t i = 0; i < e.rl; ++i) EraseKey(e.lba + i);
+  FreeRun(id);
+}
+
+void CountingTable::Unlink(SlotId id) {
+  RunSlot& run = runs_[id];
+  (run.older == kNil ? oldest_ : runs_[run.older].newer) = run.newer;
+  (run.newer == kNil ? newest_ : runs_[run.newer].older) = run.older;
+  run.older = run.newer = kNil;
+}
+
+void CountingTable::LinkByTime(SlotId id) {
+  const SliceIndex time = runs_[id].entry.time;
+  SlotId after = newest_;
+  while (after != kNil && runs_[after].entry.time > time) {
+    after = runs_[after].older;
+  }
+  SlotId before = after == kNil ? oldest_ : runs_[after].newer;
+  runs_[id].older = after;
+  runs_[id].newer = before;
+  (after == kNil ? oldest_ : runs_[after].newer) = id;
+  (before == kNil ? newest_ : runs_[before].older) = id;
+}
+
+void CountingTable::TouchRun(SlotId id, SliceIndex slice) {
+  CountingEntry& e = runs_[id].entry;
   if (e.time == slice) return;
-  by_time_.erase(e.time_it);
+  Unlink(id);
   e.time = slice;
-  e.time_it = by_time_.emplace(slice, e.lba);
+  LinkByTime(id);
 }
 
 void CountingTable::EvictOldest() {
-  if (entries_.empty()) return;
-  auto oldest = entries_.find(by_time_.begin()->second);
-  assert(oldest != entries_.end());
-  EraseEntry(oldest);
+  if (oldest_ != kNil) EraseRun(oldest_);
 }
 
-void CountingTable::RekeyRange(Lba from, std::uint32_t count, Lba new_start) {
-  for (Lba b = from; b < from + count; ++b) {
-    auto it = index_.find(b);
-    assert(it != index_.end());
-    it->second.run_start = new_start;
+std::size_t CountingTable::Home(Lba lba) const {
+  // Multiplicative hash of the LBA's aligned group; the group's blocks take
+  // consecutive slots, so a sequential run's keys share cache lines.
+  const std::uint64_t group = (lba >> kGroupBits) * 0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(
+      ((group >> (key_shift_ + kGroupBits)) << kGroupBits) |
+      (lba & ((Lba{1} << kGroupBits) - 1)));
+}
+
+CountingTable::KeySlot* CountingTable::FindKey(Lba lba) {
+  return const_cast<KeySlot*>(std::as_const(*this).FindKey(lba));
+}
+
+const CountingTable::KeySlot* CountingTable::FindKey(Lba lba) const {
+  if (keys_.empty() || lba == kInvalidLba) return nullptr;
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t i = Home(lba);; i = (i + 1) & mask) {
+    const KeySlot& k = keys_[i];
+    if (k.lba == lba) return &k;
+    if (k.lba == kInvalidLba) return nullptr;
   }
 }
 
-void CountingTable::MaybeMergeWithNext(EntryMap::iterator it) {
-  auto next = std::next(it);
-  if (next == entries_.end()) return;
-  CountingEntry& left = it->second;
-  CountingEntry& right = next->second;
-  if (left.lba + left.rl != right.lba) return;
+void CountingTable::InsertKey(Lba lba, SliceIndex read_slice, SlotId run) {
+  assert(lba != kInvalidLba);
+  if ((key_count_ + 1) * kMaxLoadDen > keys_.size() * kMaxLoadNum) {
+    RehashKeys(std::max(kMinKeySlots, 2 * keys_.size()));
+  }
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t i = Home(lba);
+  while (keys_[i].lba != kInvalidLba) {
+    assert(keys_[i].lba != lba);
+    i = (i + 1) & mask;
+  }
+  keys_[i] = KeySlot{lba, read_slice, run, BlockState::kReadTracked};
+  ++key_count_;
+}
+
+void CountingTable::EraseKey(Lba lba) {
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t hole = Home(lba);
+  while (keys_[hole].lba != lba) {
+    assert(keys_[hole].lba != kInvalidLba);
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull each later key of the probe cluster into
+  // the hole unless the hole lies before its home slot.
+  for (std::size_t j = (hole + 1) & mask; keys_[j].lba != kInvalidLba;
+       j = (j + 1) & mask) {
+    if (((j - Home(keys_[j].lba)) & mask) >= ((j - hole) & mask)) {
+      keys_[hole] = keys_[j];
+      hole = j;
+    }
+  }
+  keys_[hole].lba = kInvalidLba;
+  --key_count_;
+}
+
+void CountingTable::RekeyRange(Lba from, std::uint32_t count, SlotId run) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    KeySlot* k = FindKey(from + i);
+    assert(k != nullptr);
+    k->run = run;
+  }
+}
+
+std::size_t CountingTable::KeySlotsFor(std::size_t keys) {
+  return std::max(kMinKeySlots,
+                  std::bit_ceil(keys * kMaxLoadDen / kMaxLoadNum));
+}
+
+void CountingTable::RehashKeys(std::size_t slots) {
+  assert(std::has_single_bit(slots));
+  std::vector<KeySlot> old(slots);
+  old.swap(keys_);
+  key_shift_ = 64 - std::countr_zero(slots);
+  const std::size_t mask = slots - 1;
+  for (const KeySlot& k : old) {
+    if (k.lba == kInvalidLba) continue;
+    std::size_t i = Home(k.lba);
+    while (keys_[i].lba != kInvalidLba) i = (i + 1) & mask;
+    keys_[i] = k;
+  }
+}
+
+void CountingTable::MaybeMergeWithNext(SlotId left_id) {
+  CountingEntry& left = runs_[left_id].entry;
+  const KeySlot* next = FindKey(left.lba + left.rl);
+  if (next == nullptr) return;
+  const SlotId right_id = next->run;
+  CountingEntry& right = runs_[right_id].entry;
+  assert(right.lba == left.lba + left.rl);
   // Only merge when at most one side has an overwrite run in flight, so WL
   // keeps measuring one contiguous overwritten stretch per entry.
   if (left.wl > 0 && right.wl > 0) return;
   if (right.time > left.time) {
-    by_time_.erase(left.time_it);
+    // Relinked while the right run is still listed, so the merged run lands
+    // after it and every other run of the same time.
+    Unlink(left_id);
     left.time = right.time;
-    left.time_it = by_time_.emplace(left.time, left.lba);
+    LinkByTime(left_id);
   }
   if (left.wl == 0) left.ow_next = right.ow_next;
   left.wl += right.wl;
-  RekeyRange(right.lba, right.rl, left.lba);
+  RekeyRange(right.lba, right.rl, left_id);
   left.rl += right.rl;
-  by_time_.erase(right.time_it);
-  entries_.erase(next);
+  FreeRun(right_id);  // its keys now belong to the left run
 }
 
 void CountingTable::HandleReadBlock(Lba lba, SliceIndex slice) {
-  auto key_it = index_.find(lba);
-  if (key_it != index_.end()) {
+  if (KeySlot* key = FindKey(lba)) {
     // Re-read of a tracked block: re-arm it so the next write counts as a
     // fresh overwrite (the ransomware read-encrypt-overwrite cycle). The
     // block leaves the "overwritten" population, so WL gives it back —
     // keeping the invariant that WL counts currently-overwritten blocks.
-    auto entry_it = entries_.find(key_it->second.run_start);
-    assert(entry_it != entries_.end());
-    if (key_it->second.state == BlockState::kOverwritten &&
-        entry_it->second.wl > 0) {
-      --entry_it->second.wl;
-      if (entry_it->second.wl == 0) entry_it->second.ow_next = kInvalidLba;
+    CountingEntry& e = runs_[key->run].entry;
+    if (key->state == BlockState::kOverwritten && e.wl > 0) {
+      --e.wl;
+      if (e.wl == 0) e.ow_next = kInvalidLba;
     }
-    key_it->second.state = BlockState::kReadTracked;
-    key_it->second.read_slice = slice;
-    TouchEntry(entry_it, slice);
+    key->state = BlockState::kReadTracked;
+    key->read_slice = slice;
+    TouchRun(key->run, slice);
     return;
   }
 
-  // Extend a run whose tail is exactly this block (UpdateEntryR).
-  auto it = entries_.upper_bound(lba);
-  if (it != entries_.begin()) {
-    auto prev = std::prev(it);
-    CountingEntry& e = prev->second;
-    if (e.lba + e.rl == lba) {
-      ++e.rl;
-      TouchEntry(prev, slice);
-      index_.emplace(lba, Key{e.lba, BlockState::kReadTracked, slice});
-      MaybeMergeWithNext(prev);
-      return;
-    }
+  // Extend a run whose tail is exactly this block (UpdateEntryR). Block
+  // `lba` is untracked, so a run holding `lba - 1` ends here.
+  if (const KeySlot* prev = lba > 0 ? FindKey(lba - 1) : nullptr) {
+    const SlotId id = prev->run;
+    assert(runs_[id].entry.lba + runs_[id].entry.rl == lba);
+    ++runs_[id].entry.rl;
+    TouchRun(id, slice);
+    InsertKey(lba, slice, id);
+    MaybeMergeWithNext(id);
+    return;
   }
 
   // NewEntry.
-  while (entries_.size() >= config_.max_entries) EvictOldest();
-  auto [entry_it, inserted] =
-      entries_.emplace(lba, CountingEntry{slice, lba, 1, 0, kInvalidLba});
-  assert(inserted);
-  entry_it->second.time_it = by_time_.emplace(slice, lba);
-  index_.emplace(lba, Key{lba, BlockState::kReadTracked, slice});
-  MaybeMergeWithNext(entry_it);
+  while (live_runs_ >= config_.max_entries) EvictOldest();
+  const SlotId id = NewRun(CountingEntry{slice, lba, 1, 0, kInvalidLba});
+  InsertKey(lba, slice, id);
+  MaybeMergeWithNext(id);
   // Soft hash-capacity cap: shed least-recently-active runs, but never the
   // only remaining one.
-  while (index_.size() > config_.max_hash_keys && entries_.size() > 1) {
-    EvictOldest();
-  }
+  while (key_count_ > config_.max_hash_keys && live_runs_ > 1) EvictOldest();
 }
 
 void CountingTable::HandleWriteBlock(Lba lba, SliceIndex slice) {
-  auto key_it = index_.find(lba);
-  if (key_it == index_.end()) return;          // plain write, not tracked
-  if (key_it->second.state == BlockState::kOverwritten) return;  // counted
+  KeySlot* key = FindKey(lba);
+  if (key == nullptr) return;                          // plain write
+  if (key->state == BlockState::kOverwritten) return;  // counted
   // Paper footnote 1: only writes to blocks read within the last N slices
   // count as overwrites. A stale tracked block neither counts nor keeps its
   // run alive.
-  if (slice - key_it->second.read_slice >=
+  if (slice - key->read_slice >=
       static_cast<SliceIndex>(config_.window_slices)) {
     return;
   }
 
-  key_it->second.state = BlockState::kOverwritten;
+  key->state = BlockState::kOverwritten;
   ++counters_.overwrites;
 
-  auto entry_it = entries_.find(key_it->second.run_start);
-  assert(entry_it != entries_.end());
-  TouchEntry(entry_it, slice);
-  CountingEntry& e = entry_it->second;
+  const SlotId id = key->run;
+  TouchRun(id, slice);
+  CountingEntry& e = runs_[id].entry;
 
   if (e.wl == 0 || lba == e.ow_next) {
     // Start or contiguously extend the overwrite run (UpdateEntryW).
@@ -171,21 +270,22 @@ void CountingTable::HandleWriteBlock(Lba lba, SliceIndex slice) {
   std::uint32_t right_wl = std::min(e.wl - left_wl, right_len - 1);
   e.wl = left_wl;
   if (left_wl == 0) e.ow_next = kInvalidLba;
-  auto [right_it, inserted] = entries_.emplace(
-      lba, CountingEntry{slice, lba, right_len,
-                         static_cast<std::uint32_t>(right_wl + 1), lba + 1});
-  assert(inserted);
-  right_it->second.time_it = by_time_.emplace(slice, lba);
-  RekeyRange(lba, right_len, lba);
-  while (entries_.size() > config_.max_entries) EvictOldest();
+  // NewRun may grow the slot array: `e` is not used past this point.
+  const SlotId right_id = NewRun(CountingEntry{
+      slice, lba, right_len, static_cast<std::uint32_t>(right_wl + 1),
+      lba + 1});
+  RekeyRange(lba, right_len, right_id);
+  while (live_runs_ > config_.max_entries) EvictOldest();
 }
 
 void CountingTable::OnRead(Lba lba, std::uint32_t length, SliceIndex slice) {
+  assert(lba <= kInvalidLba - length);
   counters_.read_blocks += length;
   for (std::uint32_t i = 0; i < length; ++i) HandleReadBlock(lba + i, slice);
 }
 
 void CountingTable::OnWrite(Lba lba, std::uint32_t length, SliceIndex slice) {
+  assert(lba <= kInvalidLba - length);
   counters_.write_blocks += length;
   for (std::uint32_t i = 0; i < length; ++i) HandleWriteBlock(lba + i, slice);
 }
@@ -197,10 +297,8 @@ SliceCounters CountingTable::EndSlice() {
 }
 
 void CountingTable::DropOlderThan(SliceIndex min_slice) {
-  while (!by_time_.empty() && by_time_.begin()->first < min_slice) {
-    auto victim = entries_.find(by_time_.begin()->second);
-    assert(victim != entries_.end());
-    EraseEntry(victim);
+  while (oldest_ != kNil && runs_[oldest_].entry.time < min_slice) {
+    EraseRun(oldest_);
   }
 }
 
@@ -210,18 +308,39 @@ void CountingTable::ShrinkTo(std::size_t max_entries,
                                                           max_entries, 1));
   config_.max_hash_keys = std::min(
       config_.max_hash_keys, std::max<std::size_t>(max_hash_keys, 1));
-  while (entries_.size() > config_.max_entries) EvictOldest();
-  while (index_.size() > config_.max_hash_keys && entries_.size() > 1) {
-    EvictOldest();
+  while (live_runs_ > config_.max_entries) EvictOldest();
+  while (key_count_ > config_.max_hash_keys && live_runs_ > 1) EvictOldest();
+
+  // Compact the live runs into slots [0, live) in recency order, so the slot
+  // array shrinks to the live state, then rebuild the key table at its
+  // smallest size.
+  std::vector<SlotId> new_id(runs_.size(), kNil);
+  std::vector<RunSlot> compact;
+  compact.reserve(live_runs_);
+  for (SlotId id = oldest_; id != kNil; id = runs_[id].newer) {
+    const auto slot = static_cast<SlotId>(compact.size());
+    new_id[id] = slot;
+    compact.push_back({runs_[id].entry, slot == 0 ? kNil : slot - 1, kNil});
+    if (slot > 0) compact[slot - 1].newer = slot;
+  }
+  runs_.swap(compact);
+  free_head_ = kNil;
+  oldest_ = runs_.empty() ? kNil : 0;
+  newest_ = runs_.empty() ? kNil : static_cast<SlotId>(runs_.size() - 1);
+  for (KeySlot& k : keys_) {
+    if (k.lba != kInvalidLba) k.run = new_id[k.run];
+  }
+  if (KeySlotsFor(key_count_) < keys_.size()) {
+    RehashKeys(KeySlotsFor(key_count_));
   }
 }
 
 double CountingTable::AverageOverwriteRunLength() const {
   std::uint64_t sum = 0;
   std::uint64_t count = 0;
-  for (const auto& [start, e] : entries_) {
-    if (e.wl > 0) {
-      sum += e.wl;
+  for (const RunSlot& run : runs_) {
+    if (run.entry.wl > 0) {
+      sum += run.entry.wl;
       ++count;
     }
   }
@@ -229,22 +348,28 @@ double CountingTable::AverageOverwriteRunLength() const {
   return static_cast<double>(sum) / static_cast<double>(count);
 }
 
+std::vector<const CountingEntry*> CountingTable::EntriesByLba() const {
+  std::vector<const CountingEntry*> out;
+  out.reserve(live_runs_);
+  for (const RunSlot& run : runs_) {
+    if (run.entry.rl > 0) out.push_back(&run.entry);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CountingEntry* a, const CountingEntry* b) {
+              return a->lba < b->lba;
+            });
+  return out;
+}
+
 std::string CountingTable::CheckInvariants() const {
   std::ostringstream err;
   std::size_t covered = 0;
   Lba prev_end = 0;
   bool first = true;
-  for (const auto& [start, e] : entries_) {
-    if (start != e.lba) {
-      err << "entry key " << start << " != entry lba " << e.lba;
-      return err.str();
-    }
-    if (e.rl == 0) {
-      err << "entry " << start << " has zero read-run length";
-      return err.str();
-    }
-    if (e.wl > e.rl) {
-      err << "entry " << start << " wl " << e.wl << " > rl " << e.rl;
+  for (const CountingEntry* e : EntriesByLba()) {
+    const Lba start = e->lba;
+    if (e->wl > e->rl) {
+      err << "entry " << start << " wl " << e->wl << " > rl " << e->rl;
       return err.str();
     }
     if (!first && start < prev_end) {
@@ -253,36 +378,60 @@ std::string CountingTable::CheckInvariants() const {
       return err.str();
     }
     first = false;
-    prev_end = start + e.rl;
-    covered += e.rl;
-    for (Lba b = e.lba; b < e.lba + e.rl; ++b) {
-      auto it = index_.find(b);
-      if (it == index_.end()) {
-        err << "block " << b << " of run " << start << " missing from index";
+    prev_end = start + e->rl;
+    covered += e->rl;
+    for (std::uint32_t i = 0; i < e->rl; ++i) {
+      const KeySlot* k = FindKey(start + i);
+      if (k == nullptr) {
+        err << "block " << start + i << " of run " << start
+            << " missing from index";
         return err.str();
       }
-      if (it->second.run_start != start) {
-        err << "block " << b << " indexed to wrong run "
-            << it->second.run_start << " (expected " << start << ")";
+      if (k->run >= runs_.size() || &runs_[k->run].entry != e) {
+        err << "block " << start + i << " indexed to wrong run slot "
+            << k->run << " (expected run " << start << ")";
         return err.str();
       }
     }
   }
-  if (covered != index_.size()) {
-    err << "index holds " << index_.size() << " keys but runs cover "
-        << covered << " blocks";
+  if (covered != key_count_) {
+    err << "index holds " << key_count_ << " keys but runs cover " << covered
+        << " blocks";
     return err.str();
   }
-  if (by_time_.size() != entries_.size()) {
-    err << "time index size " << by_time_.size() << " != entry count "
-        << entries_.size();
+  std::size_t occupied = 0;
+  for (const KeySlot& k : keys_) occupied += k.lba != kInvalidLba ? 1 : 0;
+  if (occupied != key_count_ || key_count_ * kMaxLoadDen >
+                                    keys_.size() * kMaxLoadNum) {
+    err << "key table holds " << occupied << " of " << keys_.size()
+        << " slots, counted " << key_count_;
     return err.str();
   }
-  for (const auto& [start, e] : entries_) {
-    if (e.time_it->first != e.time || e.time_it->second != e.lba) {
-      err << "entry " << start << " has a stale time-index handle";
+  std::size_t listed = 0;
+  SlotId prev = kNil;
+  for (SlotId id = oldest_; id != kNil; prev = id, id = runs_[id].newer) {
+    const RunSlot& run = runs_[id];
+    ++listed;
+    if (run.entry.rl == 0 || run.older != prev ||
+        (prev != kNil && runs_[prev].entry.time > run.entry.time) ||
+        listed > live_runs_) {
+      err << "recency list broken at run " << run.entry.lba;
       return err.str();
     }
+  }
+  if (prev != newest_ || listed != live_runs_) {
+    err << "recency list holds " << listed << " runs, counted " << live_runs_;
+    return err.str();
+  }
+  std::size_t free_slots = 0;
+  for (SlotId id = free_head_; id != kNil && free_slots <= runs_.size();
+       id = runs_[id].newer) {
+    ++free_slots;
+  }
+  if (free_slots + live_runs_ != runs_.size()) {
+    err << "free list holds " << free_slots << " slots, expected "
+        << runs_.size() - live_runs_;
+    return err.str();
   }
   return {};
 }

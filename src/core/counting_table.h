@@ -7,6 +7,20 @@
 // overwritten. A per-LBA hash index gives O(1) access from a request's LBA
 // to its run (paper Table III sizes it at 250,000 keys / 10 MB).
 //
+// Layout (all state is flat vectors of trivially copyable slots, so a copy of
+// the table is an independent value):
+//   run slots   — one CountingEntry per live run plus `older`/`newer` slot
+//                 ids; free slots form a list through `newer`.
+//   recency list— those ids, ordered by (time, order of last relink): the
+//                 oldest run is the eviction and window-slide victim.
+//   key table   — open addressing (linear probing, backward-shift
+//                 deletion) from LBA to its read slice, block state and
+//                 owning run slot, at most half full. A multiplicative hash
+//                 picks the home of each aligned group of LBAs, so a run's
+//                 keys sit in consecutive slots.
+// Run adjacency comes from the key table: a run ends at `lba` exactly when
+// key `lba - 1` exists, and a run's right neighbour owns key `lba + rl`.
+//
 // The basic operations mirror Fig. 3(b):
 //   NewEntry      — a read starts a new run.
 //   UpdateEntryR  — a read adjacent to a run's tail extends RL.
@@ -25,9 +39,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
+#include <vector>
 
 #include "common/io.h"
 
@@ -43,20 +57,10 @@ struct CountingEntry {
   std::uint32_t wl = 0; ///< overwritten blocks within the run
   /// Internal: next LBA expected to continue the contiguous overwrite run.
   Lba ow_next = kInvalidLba;
-  /// Internal: position in the table's eviction time index.
-  std::multimap<SliceIndex, Lba>::iterator time_it{};
 
   /// Paper Table III packs an entry into 12 bytes.
   static constexpr std::size_t PackedBytes() { return 12; }
 };
-
-/// Modeled DRAM of one hash-index entry at this implementation's sizes: key
-/// + value + ~2 pointers of bucket overhead, a fair model for a
-/// closed-addressing table. Table III's bench row and the detector pool's
-/// budget both price the index with it.
-constexpr std::size_t HashIndexEntryBytes() {
-  return sizeof(Lba) + sizeof(std::uint64_t) + 2 * sizeof(void*);
-}
 
 /// Counters accumulated over one time slice and consumed by the feature
 /// extractor at the slice boundary.
@@ -80,6 +84,7 @@ class CountingTable {
   explicit CountingTable(const Config& config);
 
   /// Record a read request (header only). `slice` is the current slice.
+  /// The blocks [lba, lba + length) must not wrap or include kInvalidLba.
   void OnRead(Lba lba, std::uint32_t length, SliceIndex slice);
 
   /// Record a write request; updates overwrite accounting.
@@ -97,56 +102,105 @@ class CountingTable {
   /// Reduce the table's capacity caps in place (detector-pool DRAM pressure):
   /// lowers max_entries/max_hash_keys to the given values (never raises them;
   /// floors of 1 apply) and evicts least-recently-active runs until the live
-  /// state fits. The window is untouched, so surviving entries behave exactly
-  /// as before — the loss is bounded tracking capacity, not semantics.
+  /// state fits, then shrinks the slot arrays to the live state. The window
+  /// is untouched, so surviving entries behave exactly as before — the loss
+  /// is bounded tracking capacity, not semantics.
   void ShrinkTo(std::size_t max_entries, std::size_t max_hash_keys);
 
   /// AVGWIO numerator: mean WL over entries with at least one overwrite.
   double AverageOverwriteRunLength() const;
 
-  std::size_t EntryCount() const { return entries_.size(); }
-  std::size_t KeyCount() const { return index_.size(); }
+  std::size_t EntryCount() const { return live_runs_; }
+  std::size_t KeyCount() const { return key_count_; }
   const Config& Cfg() const { return config_; }
+
+  /// DRAM of one run slot.
+  static constexpr std::size_t RunSlotBytes() { return sizeof(RunSlot); }
+  /// DRAM per tracked key: one key slot at the key table's maximum load.
+  static constexpr std::size_t KeyBytesAtMaxLoad() {
+    return sizeof(KeySlot) * kMaxLoadDen / kMaxLoadNum;
+  }
 
   /// Visit entries (start-LBA order) — for tests and debugging.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [start, e] : entries_) fn(e);
+    for (const CountingEntry* e : EntriesByLba()) fn(*e);
   }
 
   /// First invariant violation, or empty if consistent (property tests).
   std::string CheckInvariants() const;
 
  private:
-  /// Per-LBA tracking state stored in the hash index.
+  /// Per-LBA tracking state stored in the key table.
   enum class BlockState : std::uint8_t {
     kReadTracked,  ///< read within the window; next write is an overwrite
     kOverwritten,  ///< already counted; writes don't re-count until re-read
   };
-  struct Key {
-    Lba run_start;  ///< owning entry (its map key)
-    BlockState state;
-    SliceIndex read_slice;  ///< when the block was last read (footnote 1)
+  using SlotId = std::uint32_t;
+  static constexpr SlotId kNil = ~SlotId{0};
+
+  struct RunSlot {
+    CountingEntry entry;  ///< rl == 0 marks a free slot
+    SlotId older = kNil;  ///< recency list (free list: unused)
+    SlotId newer = kNil;  ///< recency list (free list: next free slot)
   };
+  struct KeySlot {
+    Lba lba = kInvalidLba;  ///< kInvalidLba marks an empty slot
+    SliceIndex read_slice = 0;  ///< when the block was last read (footnote 1)
+    SlotId run = kNil;          ///< owning run slot
+    BlockState state = BlockState::kReadTracked;
+  };
+  static_assert(std::is_trivially_copyable_v<RunSlot> &&
+                std::is_trivially_copyable_v<KeySlot>);
+  /// The key table is at most kMaxLoadNum/kMaxLoadDen full.
+  static constexpr std::size_t kMaxLoadNum = 1;
+  static constexpr std::size_t kMaxLoadDen = 2;
+  static constexpr std::size_t kMinKeySlots = 32;
+  /// Keys of 2^kGroupBits consecutive LBAs share one home neighbourhood.
+  static constexpr int kGroupBits = 4;
+  static_assert(kMinKeySlots > (std::size_t{1} << kGroupBits));
 
-  using EntryMap = std::map<Lba, CountingEntry>;
-
-  EntryMap::iterator FindRunContaining(Lba lba);
-  void EraseEntry(EntryMap::iterator it);
-  /// Update an entry's last-activity slice (and its time-index position).
-  void TouchEntry(EntryMap::iterator it, SliceIndex slice);
-  /// Evict the least-recently-updated entry (capacity pressure).
+  // Run slots and the recency list.
+  SlotId NewRun(const CountingEntry& entry);
+  /// Return a run's slot to the free list; its keys are the caller's.
+  void FreeRun(SlotId id);
+  /// Drop a run and its keys.
+  void EraseRun(SlotId id);
+  void Unlink(SlotId id);
+  /// Link after every run whose time is <= this run's, so runs of equal
+  /// time keep their relink order: O(1) when the time is the newest.
+  void LinkByTime(SlotId id);
+  /// Update a run's last-activity slice (and its recency position).
+  void TouchRun(SlotId id, SliceIndex slice);
+  /// Evict the least-recently-updated run (capacity pressure).
   void EvictOldest();
-  void RekeyRange(Lba from, std::uint32_t count, Lba new_start);
+  void MaybeMergeWithNext(SlotId left_id);
+
+  // Key table.
+  std::size_t Home(Lba lba) const;
+  KeySlot* FindKey(Lba lba);
+  const KeySlot* FindKey(Lba lba) const;
+  void InsertKey(Lba lba, SliceIndex read_slice, SlotId run);
+  void EraseKey(Lba lba);
+  void RekeyRange(Lba from, std::uint32_t count, SlotId run);
+  /// Rebuild the key table at `slots` (a power of two) slots.
+  void RehashKeys(std::size_t slots);
+  /// Smallest key-table size that holds `keys` within the maximum load.
+  static std::size_t KeySlotsFor(std::size_t keys);
+
   void HandleReadBlock(Lba lba, SliceIndex slice);
   void HandleWriteBlock(Lba lba, SliceIndex slice);
-  void MaybeMergeWithNext(EntryMap::iterator it);
+  std::vector<const CountingEntry*> EntriesByLba() const;
 
   Config config_;
-  EntryMap entries_;  ///< keyed by run start LBA
-  std::unordered_map<Lba, Key> index_;
-  /// Last-activity index: O(log n) eviction and window slides.
-  std::multimap<SliceIndex, Lba> by_time_;
+  std::vector<RunSlot> runs_;
+  SlotId free_head_ = kNil;
+  SlotId oldest_ = kNil;
+  SlotId newest_ = kNil;
+  std::size_t live_runs_ = 0;
+  std::vector<KeySlot> keys_;  ///< size 0 or a power of two
+  std::size_t key_count_ = 0;
+  int key_shift_ = 64;  ///< 64 - log2(keys_.size())
   SliceCounters counters_;
 };
 

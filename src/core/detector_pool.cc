@@ -26,8 +26,9 @@ std::size_t PricedHistoryRecords(const DetectorConfig& config) {
 std::size_t EstimateDetectorBytes(const DetectorConfig& config) {
   // The Table III shapes at this implementation's structure sizes — the
   // same per-structure model host::ActualDramBudget prices for the bench.
-  std::size_t bytes = HashIndexEntryBytes() * config.table.max_hash_keys;
-  bytes += sizeof(CountingEntry) * config.table.max_entries;
+  std::size_t bytes =
+      CountingTable::KeyBytesAtMaxLoad() * config.table.max_hash_keys;
+  bytes += CountingTable::RunSlotBytes() * config.table.max_entries;
   // Sliding-window state: one vote bit and one OWIO value per window slice.
   bytes += (sizeof(bool) + sizeof(std::uint64_t)) * config.window_slices;
   bytes += (sizeof(SliceRecord) + kTreePathBudgetBytes) *

@@ -56,10 +56,11 @@ struct DetectorPoolConfig {
 
 /// Modeled DRAM of one detector instance at the given capacities — the
 /// Table III cost model at this implementation's structure sizes (the same
-/// shapes host::ActualDramBudget prices): per-key hash-index cost, per-entry
-/// counting-table cost, the sliding-window deques, and the history ring.
-/// This is the *budgeted* (capacity) cost, not malloc'd bytes: tables fill
-/// lazily, but the budget must hold at the configured worst case.
+/// shapes host::ActualDramBudget prices): one key slot per hash key at the
+/// key table's maximum load, one run slot per counting-table entry, the
+/// sliding-window deques, and the history ring. This is the *budgeted*
+/// (capacity) cost: the table's arrays grow lazily, but the budget must hold
+/// at the configured worst case.
 std::size_t EstimateDetectorBytes(const DetectorConfig& config);
 
 enum class PoolPressureAction : std::uint8_t {

@@ -16,9 +16,11 @@ std::vector<DramRow> PaperDramBudget() {
 std::vector<DramRow> ActualDramBudget(const core::DetectorConfig& detector,
                                       const ftl::FtlConfig& ftl) {
   return {
-      {"Hash table", core::HashIndexEntryBytes(),
+      // Key slots at the key table's maximum load, and run slots with
+      // their recency links.
+      {"Hash table", core::CountingTable::KeyBytesAtMaxLoad(),
        detector.table.max_hash_keys},
-      {"Counting table", sizeof(core::CountingEntry),
+      {"Counting table", core::CountingTable::RunSlotBytes(),
        detector.table.max_entries},
       {"Recovery queue", sizeof(ftl::BackupEntry),
        ftl.recovery_queue_capacity},

@@ -106,6 +106,11 @@ void Ssd::MaybeArmBackgroundGc() {
 
 void Ssd::DrainFirmware(SimTime until) { scheduler_.RunUntil(until); }
 
+bool Ssd::InExportedRange(Lba lba, std::uint64_t length) const {
+  const std::uint64_t exported = ftl_.ExportedLbas();
+  return length <= exported && lba <= exported - length;
+}
+
 void Ssd::Observe(const IoRequest& request) {
   if (!config_.detector_enabled) return;
   // Route the header by namespace. With per_namespace off every nsid maps
@@ -124,6 +129,9 @@ ftl::FtlStatus Ssd::Submit(const IoRequest& request, std::uint64_t stamp_base) {
   IoRequest effective = request;
   if (effective.time < clock_.Now()) effective.time = clock_.Now();
   clock_.AdvanceTo(effective.time);
+  if (!InExportedRange(request.lba, request.length)) {
+    return ftl::FtlStatus::kOutOfRange;
+  }
   Observe(effective);
   SimTime now = effective.time;
   for (std::uint32_t i = 0; i < request.length; ++i) {
@@ -156,10 +164,14 @@ Ssd::SubmitOutcome Ssd::ExecuteAsync(const IoRequest& request,
   IoRequest effective = request;
   if (effective.time < clock_.Now()) effective.time = clock_.Now();
   clock_.AdvanceTo(effective.time);
-  if (observe) Observe(effective);
   SimTime now = effective.time;
   SubmitOutcome outcome;
   outcome.complete_time = now;
+  if (!InExportedRange(request.lba, request.length)) {
+    outcome.status = ftl::FtlStatus::kOutOfRange;
+    return outcome;
+  }
+  if (observe) Observe(effective);
   for (std::uint32_t i = 0; i < request.length; ++i) {
     ftl::FtlResult r = ExecutePage(request, i, stamp_base, now);
     if (!r.ok()) {
@@ -199,6 +211,7 @@ ftl::FtlResult Ssd::ExecutePage(const IoRequest& request, std::uint32_t i,
 
 ftl::FtlResult Ssd::WriteBlockAt(Lba lba, nand::PageData data, SimTime now) {
   clock_.AdvanceTo(now);
+  if (!InExportedRange(lba, 1)) return {ftl::FtlStatus::kOutOfRange, now, {}};
   Observe({now, lba, 1, IoMode::kWrite});
   ftl::FtlResult r = ftl_.WritePage(lba, std::move(data), now);
   if (r.ok()) clock_.AdvanceTo(r.complete_time);
@@ -208,6 +221,7 @@ ftl::FtlResult Ssd::WriteBlockAt(Lba lba, nand::PageData data, SimTime now) {
 
 ftl::FtlResult Ssd::ReadBlockAt(Lba lba, SimTime now) {
   clock_.AdvanceTo(now);
+  if (!InExportedRange(lba, 1)) return {ftl::FtlStatus::kOutOfRange, now, {}};
   Observe({now, lba, 1, IoMode::kRead});
   ftl::FtlResult r = ftl_.ReadPage(lba, now);
   if (r.ok()) clock_.AdvanceTo(r.complete_time);
@@ -216,6 +230,7 @@ ftl::FtlResult Ssd::ReadBlockAt(Lba lba, SimTime now) {
 
 ftl::FtlResult Ssd::TrimBlockAt(Lba lba, SimTime now) {
   clock_.AdvanceTo(now);
+  if (!InExportedRange(lba, 1)) return {ftl::FtlStatus::kOutOfRange, now, {}};
   Observe({now, lba, 1, IoMode::kTrim});
   return ftl_.TrimPage(lba, now);
 }
@@ -250,6 +265,7 @@ bool Ssd::WriteBlock(std::uint64_t lba, std::span<const std::byte> data) {
   // own submission gap — this is what lets a filesystem writer approach the
   // device's parallel bandwidth rather than one chip's program latency.
   SimTime now = clock_.Now();
+  if (!InExportedRange(lba, 1)) return false;
   Observe({now, lba, 1, IoMode::kWrite});
   ftl::FtlResult r = ftl_.WritePage(lba, std::move(page), now);
   MaybeArmBackgroundGc();

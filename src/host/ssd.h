@@ -70,6 +70,10 @@ class Ssd final : public fs::BlockDevice {
   /// and the detector observes the clamped time, so its slice stream stays
   /// non-decreasing no matter how hosts interleave. Requests never execute
   /// in the past.
+  ///
+  /// Every entry point rejects a command whose blocks [lba, lba + length)
+  /// do not all lie inside the exported range with kOutOfRange, before the
+  /// detector or the FTL sees it: no page of it runs.
   ftl::FtlStatus Submit(const IoRequest& request, std::uint64_t stamp_base);
 
   struct SubmitOutcome {
@@ -191,6 +195,8 @@ class Ssd final : public fs::BlockDevice {
 
  private:
   void Observe(const IoRequest& request);
+  /// [lba, lba + length) lies inside the exported range (overflow-safe).
+  bool InExportedRange(Lba lba, std::uint64_t length) const;
   SubmitOutcome ExecuteAsync(const IoRequest& request,
                              std::uint64_t stamp_base, bool observe);
   /// Issue block `i` of `request` to the FTL at `now` (payload stamp

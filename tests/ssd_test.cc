@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "core/pretrained.h"
 #include "host/dram.h"
 #include "host/ssd.h"
+#include "host/ssd_target.h"
+#include "io/io_engine.h"
 
 namespace insider::host {
 namespace {
@@ -190,6 +196,76 @@ TEST(SsdTest, StaleSubmitKeepsDetectorSliceStreamMonotone) {
       EXPECT_EQ(rec.features.io(), 0.0);
     }
   }
+}
+
+// A command that does not lie wholly inside the exported range is rejected
+// before the detector or the FTL sees it: the detector tracks no key of it
+// (a run at UINT64_MAX - 1 would wrap past the end of the LBA space) and no
+// page of a command straddling the end is written.
+TEST(SsdRangeTest, OutOfRangeCommandReachesNeitherDetectorNorFtl) {
+  Ssd ssd(SmallSsd(), SimpleTree());
+  const Lba top = std::numeric_limits<Lba>::max() - 1;
+  const Lba end = ssd.Ftl().ExportedLbas();
+  EXPECT_EQ(ssd.Submit({1000, top, 4, IoMode::kRead}, 0),
+            ftl::FtlStatus::kOutOfRange);
+  EXPECT_EQ(ssd.Detector().Table().KeyCount(), 0u);
+  EXPECT_EQ(ssd.Detector().Table().Counters().read_blocks, 0u);
+
+  EXPECT_EQ(ssd.Submit({2000, end - 2, 4, IoMode::kWrite}, 0),
+            ftl::FtlStatus::kOutOfRange);
+  EXPECT_EQ(ssd.Ftl().ReadPage(end - 2, 3000).status,
+            ftl::FtlStatus::kUnmapped);
+  EXPECT_EQ(ssd.Detector().Table().Counters().write_blocks, 0u);
+
+  EXPECT_EQ(ssd.ReadBlockAt(end, 4000).status, ftl::FtlStatus::kOutOfRange);
+  EXPECT_EQ(ssd.TrimBlockAt(top, 5000).status, ftl::FtlStatus::kOutOfRange);
+  std::vector<std::byte> block(fs::kBlockSize);
+  EXPECT_FALSE(ssd.WriteBlock(end, block));
+  EXPECT_EQ(ssd.Detector().Table().Counters().write_blocks, 0u);
+  EXPECT_EQ(ssd.Detector().Table().KeyCount(), 0u);
+
+  // A legal read well past the window, then another out-of-range one.
+  ASSERT_EQ(ssd.Submit({Seconds(19), 5, 1, IoMode::kRead}, 0),
+            ftl::FtlStatus::kOk);
+  EXPECT_EQ(ssd.Detector().Table().KeyCount(), 1u);
+  EXPECT_EQ(ssd.Detector().Table().CheckInvariants(), "");
+  EXPECT_EQ(ssd.Submit({Seconds(20), top, 4, IoMode::kRead}, 0),
+            ftl::FtlStatus::kOutOfRange);
+  EXPECT_EQ(ssd.Detector().Table().KeyCount(), 1u);
+  EXPECT_EQ(ssd.Detector().Table().CheckInvariants(), "");
+}
+
+TEST(SsdRangeTest, EnginePathRejectsOutOfRangeCommandWhole) {
+  Ssd ssd(SmallSsd(), SimpleTree());
+  SsdTarget target(ssd);
+  io::IoEngine engine(target, io::EngineConfig{});
+  auto round_trip = [&](const IoRequest& request) {
+    EXPECT_TRUE(engine.TrySubmit(0, request, 0));
+    engine.Drain();
+    std::optional<io::Completion> c = engine.PopCompletion(0);
+    EXPECT_TRUE(c.has_value());
+    return c.value_or(io::Completion{});
+  };
+  const Lba top = std::numeric_limits<Lba>::max() - 1;
+  const Lba end = ssd.Ftl().ExportedLbas();
+
+  io::Completion read = round_trip({1000, top, 4, IoMode::kRead});
+  EXPECT_FALSE(read.ok);
+  EXPECT_EQ(read.status, io::DeviceStatus::kInvalidAddress);
+  EXPECT_EQ(ssd.Detector().Table().KeyCount(), 0u);
+
+  io::Completion write = round_trip({2000, end - 2, 4, IoMode::kWrite});
+  EXPECT_EQ(write.status, io::DeviceStatus::kInvalidAddress);
+  EXPECT_EQ(ssd.Ftl().ReadPage(end - 2, 3000).status,
+            ftl::FtlStatus::kUnmapped);
+  EXPECT_EQ(ssd.Detector().Table().Counters().write_blocks, 0u);
+
+  EXPECT_TRUE(round_trip({Seconds(19), 5, 1, IoMode::kRead}).ok);
+  EXPECT_TRUE(round_trip({Seconds(19) + 1, end - 1, 1, IoMode::kWrite}).ok);
+  EXPECT_EQ(round_trip({Seconds(20), top, 4, IoMode::kRead}).status,
+            io::DeviceStatus::kInvalidAddress);
+  EXPECT_EQ(ssd.Detector().Table().KeyCount(), 1u);
+  EXPECT_EQ(ssd.Detector().Table().CheckInvariants(), "");
 }
 
 TEST(DramTest, PaperBudgetMatchesTableIII) {
