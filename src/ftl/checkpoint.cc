@@ -91,7 +91,7 @@ bool CheckpointStore::Commit(FtlSnapshot snap, SimTime now, SimTime* complete,
     std::uint64_t stamp = PageStamp(base, pos, footer);
     nand::NandResult r =
         nand_->ProgramMetaPage(PpaOfPosition(buffer, pos),
-                               nand::PageData{stamp, {}}, t);
+                               nand::PageView{stamp}, t);
     t = std::max(t, r.complete_time);
     if (!r.ok()) {
       // Metadata program fail: the burned page tears the sequence; abort
@@ -119,8 +119,8 @@ bool CheckpointStore::SlotMediaValid(const Slot& slot,
   for (std::uint32_t pos : {0u, footer_pos}) {
     nand::Ppa ppa = PpaOfPosition(buffer, pos);
     if (!nand_->IsProgrammed(ppa) || nand_->IsBadPage(ppa)) return false;
-    const nand::PageData* media = nand_->PeekPage(ppa);
-    if (media == nullptr) return false;
+    const std::optional<nand::PageView> media = nand_->PeekPage(ppa);
+    if (!media.has_value()) return false;
     bool footer = pos == footer_pos;
     if (media->stamp != PageStamp(slot.base_stamp, pos, footer)) return false;
   }

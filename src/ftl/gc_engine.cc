@@ -41,7 +41,8 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
     }
     // Relocation preserves the version's OOB identity (lba, written_at);
     // only the program sequence number is fresh. A program fault on the
-    // destination is absorbed by the re-drive.
+    // destination is absorbed by the re-drive. The copy programs straight
+    // from the source's view: nothing erases the victim before it is empty.
     nand::Ppa dst = f.ProgramWithRedrive(*rd.data, now);
     if (dst == nand::kInvalidPpa) {  // reserve exhausted
       f.RefreshVictim(block_id);

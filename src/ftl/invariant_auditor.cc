@@ -106,11 +106,9 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   Recorder rec(report, max_violations == 0 ? 1 : max_violations);
 
   // Raw OOB peek, bypassing the timed/ECC read path (the audit must not
-  // perturb the deterministic error sequence). Returns nullptr for erased
-  // and burned pages.
-  auto oob_of = [&](nand::Ppa ppa) -> const nand::PageData* {
-    return ftl.nand_.PeekPage(ppa);
-  };
+  // perturb the deterministic error sequence). Empty for erased and burned
+  // pages.
+  auto oob_of = [&](nand::Ppa ppa) { return ftl.nand_.PeekPage(ppa); };
 
   // --- M1/M2: every L2P entry against page state, P2L, and NAND OOB. ----
   for (Lba lba = 0; lba < ftl.exported_lbas_ && !rec.Full(); ++lba) {
@@ -137,14 +135,14 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                                ? "unmapped"
                                : "lba " + Str(ftl.p2l_.Get(ppa));
               });
-    const nand::PageData* data = oob_of(ppa);
-    rec.Check(data != nullptr, Kind::kStaleMapping,
+    const std::optional<nand::PageView> data = oob_of(ppa);
+    rec.Check(data.has_value(), Kind::kStaleMapping,
               [&](InvariantViolation& v) {
                 v.where = "nand page " + Str(ppa) + " (l2p[" + Str(lba) + "])";
                 v.expected = "programmed, readable page";
                 v.actual = "erased or burned page";
               });
-    if (data == nullptr) continue;
+    if (!data.has_value()) continue;
     rec.Check(data->oob.lba == lba, Kind::kStaleMapping,
               [&](InvariantViolation& v) {
                 v.where = "oob(" + Str(ppa) + ").lba";
@@ -171,8 +169,8 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                 v.actual = "ppa " + Str(e.old_ppa);
               });
     if (e.old_ppa >= geo.TotalPages()) return;
-    const nand::PageData* data = oob_of(e.old_ppa);
-    rec.Check(data != nullptr, Kind::kDanglingBackup,
+    const std::optional<nand::PageView> data = oob_of(e.old_ppa);
+    rec.Check(data.has_value(), Kind::kDanglingBackup,
               [&](InvariantViolation& v) {
                 v.where = entry;
                 v.expected = "old ppa still programmed (un-erased, not bad)";
@@ -193,7 +191,7 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                                ? "p2l unmapped"
                                : "p2l lba " + Str(ftl.p2l_.Get(e.old_ppa));
               });
-    if (data != nullptr) {
+    if (data.has_value()) {
       rec.Check(data->oob.lba == e.lba, Kind::kDanglingBackup,
                 [&](InvariantViolation& v) {
                   v.where = entry;

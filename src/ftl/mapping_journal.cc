@@ -77,7 +77,7 @@ bool MappingJournal::Flush(SimTime now, SimTime* complete, FtlStats* stats) {
                                          static_cast<std::ptrdiff_t>(n));
     std::uint64_t stamp = StampOf(epoch_, next_position_, batch);
     nand::NandResult r = nand_->ProgramMetaPage(
-        PpaOfPosition(next_position_), nand::PageData{stamp, {}}, t);
+        PpaOfPosition(next_position_), nand::PageView{stamp}, t);
     t = std::max(t, r.complete_time);
     if (r.status == nand::NandStatus::kProgramFail) {
       // Burned slot: redrive the same batch to the next position.
@@ -138,8 +138,8 @@ MappingJournal::Tail MappingJournal::ValidTail(
     if (page.epoch != expected_epoch) break;
     nand::Ppa ppa = PpaOfPosition(page.position);
     if (!nand_->IsProgrammed(ppa) || nand_->IsBadPage(ppa)) break;
-    const nand::PageData* media = nand_->PeekPage(ppa);
-    if (media == nullptr || media->stamp != page.stamp) break;
+    const std::optional<nand::PageView> media = nand_->PeekPage(ppa);
+    if (!media.has_value() || media->stamp != page.stamp) break;
     ++tail.pages_read;
     tail.records.insert(tail.records.end(), page.records.begin(),
                         page.records.end());

@@ -319,8 +319,8 @@ void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
 }
 
 bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
-  const nand::PageData* d = RawPage(entry.old_ppa);
-  if (d == nullptr) return false;  // page unreadable; nothing to archive
+  const std::optional<nand::PageView> d = RawPage(entry.old_ppa);
+  if (!d.has_value()) return false;  // page unreadable; nothing to archive
   auto on_prune = [this](nand::Ppa p) {
     ReleaseArchived(p);
     ++stats_.archived_pruned;
@@ -368,7 +368,7 @@ void PageFtl::ReleaseArchived(nand::Ppa ppa) {
   RefreshVictim(block_id);
 }
 
-const nand::PageData* PageFtl::RawPage(nand::Ppa ppa) const {
+std::optional<nand::PageView> PageFtl::RawPage(nand::Ppa ppa) const {
   return nand_.PeekPage(ppa);
 }
 
@@ -539,13 +539,12 @@ void PageFtl::ClearRetiredBlock(std::uint32_t block_id) {
   block_counters_[block_id] = BlockCounters{};
 }
 
-nand::Ppa PageFtl::ProgramWithRedrive(nand::PageData data, SimTime& now) {
+nand::Ppa PageFtl::ProgramWithRedrive(nand::PageView page, SimTime& now) {
   for (;;) {
     nand::Ppa ppa = AllocatePage();
     if (ppa == nand::kInvalidPpa) return nand::kInvalidPpa;
-    nand::PageData attempt = data;  // the retry loop needs the original
-    attempt.oob.seq = ++write_seq_;
-    nand::NandResult pr = nand_.ProgramPage(ppa, std::move(attempt), now);
+    page.oob.seq = ++write_seq_;
+    nand::NandResult pr = nand_.ProgramPage(ppa, page, now);
     now = pr.complete_time;
     // The block is its chip's frontier, so it cannot be a GC candidate yet:
     // the victim index picks it up when allocation moves off it.
@@ -617,7 +616,7 @@ FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
   data.oob.lba = lba;
   data.oob.written_at = now;
   const SimTime written_at = now;
-  nand::Ppa ppa = ProgramWithRedrive(std::move(data), now);
+  nand::Ppa ppa = ProgramWithRedrive(data, now);
   if (ppa == nand::kInvalidPpa) {
     // Out of frontier space. When fault-driven retirement shrank the spare
     // pool this is the graceful end of the device's write life: latch
@@ -652,7 +651,7 @@ FtlResult PageFtl::ReadPage(Lba lba, SimTime now) {
   ++stats_.host_reads;
   switch (rd.status) {
     case nand::NandStatus::kOk:
-      return {FtlStatus::kOk, rd.complete_time, *rd.data};
+      return {FtlStatus::kOk, rd.complete_time, nand::PageData(*rd.data)};
     case nand::NandStatus::kUncorrectableEcc:
       // The ECC budget was exceeded; the mapping stays (a later soft retry
       // at the host level may be configured to re-drive the read).
@@ -686,12 +685,12 @@ FtlResult PageFtl::TrimPage(Lba lba, SimTime now) {
     // trim still proceeds un-persisted (the pre-tombstone behavior).
     gc_.DrainRetirements(now);
     gc_.EnsureFreeSpace(now);
-    nand::PageData tomb;
+    nand::PageView tomb;
     tomb.oob.lba = lba;
     tomb.oob.written_at = now;
     tomb.oob.tombstone = true;
     const SimTime written_at = now;
-    nand::Ppa tppa = ProgramWithRedrive(std::move(tomb), now);
+    nand::Ppa tppa = ProgramWithRedrive(tomb, now);
     if (tppa != nand::kInvalidPpa) {
       // Re-reads the mapping: GC above may have relocated the current
       // version.
@@ -729,8 +728,8 @@ void PageFtl::AttachObs(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
 }
 
 bool PageFtl::IsTombstone(nand::Ppa ppa) const {
-  const nand::PageData* d = RawPage(ppa);
-  return d != nullptr && d->oob.tombstone;
+  const std::optional<nand::PageView> d = RawPage(ppa);
+  return d.has_value() && d->oob.tombstone;
 }
 
 std::optional<nand::Ppa> PageFtl::Lookup(Lba lba) const {
@@ -823,8 +822,8 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
     Candidate best;
     const nand::Ppa cur = l2p_.Get(lba);
     if (cur != nand::kInvalidPpa) {
-      const nand::PageData* d = RawPage(cur);
-      if (d != nullptr && d->oob.written_at <= restore_point) {
+      const std::optional<nand::PageView> d = RawPage(cur);
+      if (d.has_value() && d->oob.written_at <= restore_point) {
         best = {d->oob.written_at, cur, d->oob.tombstone, true, true};
       }
     }
@@ -833,8 +832,8 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
     // newest eligible one).
     queue_.ForEach([&](const BackupEntry& e) {
       if (e.lba != lba) return;
-      const nand::PageData* d = RawPage(e.old_ppa);
-      if (d == nullptr || d->oob.written_at > restore_point) return;
+      const std::optional<nand::PageView> d = RawPage(e.old_ppa);
+      if (!d.has_value() || d->oob.written_at > restore_point) return;
       if (!best.found || d->oob.written_at > best.written_at) {
         best = {d->oob.written_at, e.old_ppa, d->oob.tombstone, true, false};
       }
@@ -888,20 +887,18 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
     // the OOB log ordered — a post-crash rebuild must see the restored copy
     // as newer than the version it displaces — and makes the rollback
     // itself undoable.
-    const nand::PageData* src = RawPage(best.ppa);
-    if (src == nullptr) {
+    const std::optional<nand::PageView> src = RawPage(best.ppa);
+    if (!src.has_value()) {
       ++report.unversioned;
       continue;
     }
-    nand::PageData data;
-    data.stamp = src->stamp;
-    data.bytes = src->bytes;
+    nand::PageData data(src->stamp, {src->bytes.begin(), src->bytes.end()});
     data.oob.lba = lba;
     data.oob.written_at = now;
     const SimTime written_at = now;
     gc_.DrainRetirements(now);
     gc_.EnsureFreeSpace(now);
-    nand::Ppa fresh = ProgramWithRedrive(std::move(data), now);
+    nand::Ppa fresh = ProgramWithRedrive(data, now);
     if (fresh == nand::kInvalidPpa) {
       ++report.failed;
       continue;
@@ -1012,9 +1009,9 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
         // sequential), so one page read per candidate suffices.
         std::uint64_t max_seq = 0;
         for (std::uint32_t p = blk.WritePointer(); p-- > 0;) {
-          const nand::PageData* d = blk.Read(p);
+          const std::optional<nand::PageView> d = blk.Read(p);
           ++probe_reads;
-          if (d != nullptr) {
+          if (d.has_value()) {
             max_seq = d->oob.seq + 1;
             break;
           }
@@ -1033,12 +1030,13 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
 
 void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
   const nand::Geometry& geo = config_.geometry;
-  // One physical version of one LBA found by the scan.
+  // One physical version of one LBA found by the scan. The payload stays on
+  // NAND: the ghost check below peeks it again by PPA.
   struct Version {
     nand::Ppa ppa = nand::kInvalidPpa;
     std::uint64_t seq = 0;
     SimTime written_at = 0;
-    const nand::PageData* data = nullptr;
+    bool tombstone = false;
   };
   std::unordered_map<Lba, std::vector<Version>> versions;
 
@@ -1064,15 +1062,15 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
       // The scan uses the raw internal read path: OOB-only reads bypass the
       // ECC pipeline's RNG so a rebuild never perturbs the deterministic
       // error sequence. Its cost is modeled in report.duration instead.
-      const nand::PageData* data = blk.Read(p);
+      const nand::PageOob oob = blk.Read(p)->oob;
       ++report.pages_scanned;
       page_state_.Set(ppa, PageState::kInvalid);  // until a version claims it
-      write_seq_ = std::max(write_seq_, data->oob.seq);
-      if (data->oob.lba == kInvalidLba || data->oob.lba >= exported_lbas_) {
+      write_seq_ = std::max(write_seq_, oob.seq);
+      if (oob.lba == kInvalidLba || oob.lba >= exported_lbas_) {
         continue;  // written outside the FTL (raw NAND tests)
       }
-      versions[data->oob.lba].push_back(
-          {ppa, data->oob.seq, data->oob.written_at, data});
+      versions[oob.lba].push_back(
+          {ppa, oob.seq, oob.written_at, oob.tombstone});
     }
   }
   report.duration = CostOf(report.pages_scanned, config_.latency.page_read);
@@ -1100,9 +1098,9 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
     for (std::size_t i = 0; i < vers.size(); ++i) {
       bool ghost = i + 1 < vers.size() &&
                    vers[i + 1].written_at == vers[i].written_at &&
-                   vers[i + 1].data->oob.tombstone ==
-                       vers[i].data->oob.tombstone &&
-                   vers[i + 1].data->SamePayload(*vers[i].data);
+                   vers[i + 1].tombstone == vers[i].tombstone &&
+                   RawPage(vers[i + 1].ppa)
+                       ->SamePayload(*RawPage(vers[i].ppa));
       if (!ghost) live.push_back(&vers[i]);
     }
     // Newest non-ghost version is the current mapping; each older one was
@@ -1111,7 +1109,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
     // rejoins the trim journal so the window still ages it out.
     const Version* newest = live.back();
     MapVersion(lba, newest->ppa, newest->written_at);
-    if (newest->data->oob.tombstone) {
+    if (newest->tombstone) {
       rebuilt_trims.push_back({newest->written_at, lba});
     } else {
       ++report.mappings_restored;
@@ -1277,7 +1275,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
   const nand::Geometry& geo = config_.geometry;
   struct DeltaPage {
     nand::Ppa ppa = nand::kInvalidPpa;
-    const nand::PageData* data = nullptr;
+    nand::PageView data;
   };
   std::vector<DeltaPage> delta;
   for (std::uint32_t b = 0; b < geo.TotalBlocks(); ++b) {
@@ -1307,9 +1305,9 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
         ++report.delta_pages_scanned;
         continue;
       }
-      const nand::PageData* data = blk.Read(p);
-      if (data == nullptr) return false;
-      delta.push_back({ppa, data});
+      const std::optional<nand::PageView> data = blk.Read(p);
+      if (!data.has_value()) return false;
+      delta.push_back({ppa, *data});
       ++report.delta_pages_scanned;
     }
   }
@@ -1318,21 +1316,21 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
   // rule the full scan uses.
   std::sort(delta.begin(), delta.end(),
             [](const DeltaPage& a, const DeltaPage& b) {
-              return a.data->oob.written_at != b.data->oob.written_at
-                         ? a.data->oob.written_at < b.data->oob.written_at
-                         : a.data->oob.seq < b.data->oob.seq;
+              return a.data.oob.written_at != b.data.oob.written_at
+                         ? a.data.oob.written_at < b.data.oob.written_at
+                         : a.data.oob.seq < b.data.oob.seq;
             });
 
   // Ring versions indexed by (lba, written_at) for ghost matching; updated
   // as ghosts transfer so repeated relocations chain correctly.
   std::map<std::pair<Lba, SimTime>, nand::Ppa> ring_index;
   queue_.ForEach([&](const BackupEntry& e) {
-    const nand::PageData* d = RawPage(e.old_ppa);
-    if (d != nullptr) ring_index[{e.lba, d->oob.written_at}] = e.old_ppa;
+    const std::optional<nand::PageView> d = RawPage(e.old_ppa);
+    if (d.has_value()) ring_index[{e.lba, d->oob.written_at}] = e.old_ppa;
   });
 
   for (const DeltaPage& dp : delta) {
-    const nand::PageOob& oob = dp.data->oob;
+    const nand::PageOob& oob = dp.data.oob;
     write_seq_ = std::max(write_seq_, oob.seq);
     if (oob.lba == kInvalidLba || oob.lba >= exported_lbas_) {
       page_state_.Set(dp.ppa, PageState::kInvalid);  // raw NAND writes
@@ -1345,11 +1343,10 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     // as the full scan's ghost rule. Three places the source can live:
     // the current mapping, the ring, the version store.
     nand::Ppa cur = l2p_.Get(oob.lba);
-    const nand::PageData* cur_data =
-        cur == nand::kInvalidPpa ? nullptr : RawPage(cur);
-    if (cur_data != nullptr && cur_data->oob.written_at == oob.written_at &&
+    const std::optional<nand::PageView> cur_data = RawPage(cur);
+    if (cur_data.has_value() && cur_data->oob.written_at == oob.written_at &&
         cur_data->oob.tombstone == oob.tombstone &&
-        cur_data->SamePayload(*dp.data)) {
+        cur_data->SamePayload(dp.data)) {
       if (page_state_.Get(cur) != PageState::kValid ||
           !MovePage(cur, dp.ppa)) {
         return false;
@@ -1359,10 +1356,10 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     if (auto it = ring_index.find({oob.lba, oob.written_at});
         it != ring_index.end()) {
       nand::Ppa src = it->second;
-      const nand::PageData* src_data = RawPage(src);
-      if (src_data != nullptr &&
+      const std::optional<nand::PageView> src_data = RawPage(src);
+      if (src_data.has_value() &&
           src_data->oob.tombstone == oob.tombstone &&
-          src_data->SamePayload(*dp.data)) {
+          src_data->SamePayload(dp.data)) {
         if (page_state_.Get(src) != PageState::kRetained ||
             !MovePage(src, dp.ppa)) {
           return false;
@@ -1373,14 +1370,14 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     }
     if (!oob.tombstone && store_.Enabled()) {
       version::PayloadHash hash =
-          version::HashPayload(dp.data->stamp, dp.data->bytes);
+          version::HashPayload(dp.data.stamp, dp.data.bytes);
       std::optional<nand::Ppa> obj = store_.ObjectPpa(hash);
       if (obj.has_value() &&
           page_state_.Get(*obj) == PageState::kArchived) {
-        const nand::PageData* src_data = RawPage(*obj);
-        if (src_data != nullptr &&
+        const std::optional<nand::PageView> src_data = RawPage(*obj);
+        if (src_data.has_value() &&
             src_data->oob.written_at == oob.written_at &&
-            src_data->SamePayload(*dp.data)) {
+            src_data->SamePayload(dp.data)) {
           if (!MovePage(*obj, dp.ppa)) return false;
           continue;
         }

@@ -421,19 +421,21 @@ class PageFtl {
   void ReleaseArchived(nand::Ppa ppa);
   /// Raw OOB/payload peek that bypasses the timed/ECC read path (the same
   /// trick IsTombstone uses), so bookkeeping never perturbs the
-  /// deterministic media-error sequence. Null for erased/bad pages.
-  const nand::PageData* RawPage(nand::Ppa ppa) const;
+  /// deterministic media-error sequence. Empty for erased/bad pages.
+  std::optional<nand::PageView> RawPage(nand::Ppa ppa) const;
   bool IsProtected(Lba lba) const { return store_.Protected(lba); }
   /// Return an erased block to its chip's free pool.
   void RecycleBlock(std::uint32_t block_id);
 
-  /// Program `data` at a fresh frontier page, transparently re-driving past
+  /// Program `page` at a fresh frontier page, transparently re-driving past
   /// program failures: a failed attempt burns its page, flags the block for
-  /// retirement, and retries on a new frontier. Preserves data.oob.lba and
+  /// retirement, and retries on a new frontier. Preserves page.oob.lba and
   /// .written_at; assigns a fresh global sequence number per attempt.
-  /// Advances `now` by all NAND time spent. Returns kInvalidPpa when the
-  /// frontier ran dry before an attempt succeeded.
-  nand::Ppa ProgramWithRedrive(nand::PageData data, SimTime& now);
+  /// `page.bytes` must stay readable across the call (GC passes a view of
+  /// the source page, which nothing here erases). Advances `now` by all
+  /// NAND time spent. Returns kInvalidPpa when the frontier ran dry before
+  /// an attempt succeeded.
+  nand::Ppa ProgramWithRedrive(nand::PageView page, SimTime& now);
 
   /// A program fault was observed on this block: close it as a write
   /// frontier and queue it for evacuation + retirement.

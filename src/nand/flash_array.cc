@@ -121,7 +121,7 @@ bool FlashArray::SampleFault(FaultKind kind, std::uint64_t op_index,
 }
 
 NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
-  if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, nullptr};
+  if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, {}};
   std::uint32_t chip = geo_.ChipOf(ppa);
   const Block& block = blocks_[ppa / geo_.pages_per_block];
   std::uint32_t page = geo_.PageOf(ppa);
@@ -132,11 +132,11 @@ NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
     ++counters_.uncorrectable_reads;
     SimTime done = Occupy(chip, now, latency_.page_read,
                           latency_.channel_transfer, /*bus_first=*/false);
-    return {NandStatus::kUncorrectableEcc, done, nullptr};
+    return {NandStatus::kUncorrectableEcc, done, {}};
   }
-  const PageData* data = block.Read(page);
-  if (data == nullptr) {
-    return {NandStatus::kReadOfErasedPage, now, nullptr};
+  std::optional<PageView> data = block.Read(page);
+  if (!data.has_value()) {
+    return {NandStatus::kReadOfErasedPage, now, {}};
   }
   SimTime extra = 0;
   NandStatus ecc = SampleReadErrors(block.EraseCount(), extra);
@@ -150,19 +150,21 @@ NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
   SimTime done = Occupy(chip, now, latency_.page_read + extra,
                         latency_.channel_transfer, /*bus_first=*/false);
   if (ecc != NandStatus::kOk) {
-    return {ecc, done, nullptr};
+    return {ecc, done, {}};
   }
   return {NandStatus::kOk, done, data};
 }
 
-NandResult FlashArray::ProgramPage(Ppa ppa, PageData data, SimTime now) {
-  return Program(ppa, std::move(data), now, FaultKind::kProgramFail,
+NandResult FlashArray::ProgramPage(Ppa ppa, const PageView& page,
+                                   SimTime now) {
+  return Program(ppa, page, now, FaultKind::kProgramFail,
                  errors_.program_fail_prob, counters_.page_programs,
                  counters_.program_fails);
 }
 
-NandResult FlashArray::ProgramMetaPage(Ppa ppa, PageData data, SimTime now) {
-  return Program(ppa, std::move(data), now, FaultKind::kMetaProgramFail, 0.0,
+NandResult FlashArray::ProgramMetaPage(Ppa ppa, const PageView& page,
+                                       SimTime now) {
+  return Program(ppa, page, now, FaultKind::kMetaProgramFail, 0.0,
                  counters_.meta_page_programs, counters_.meta_program_fails);
 }
 
@@ -176,40 +178,41 @@ NandResult FlashArray::EraseMetaBlock(BlockAddr addr, SimTime now) {
                counters_.meta_block_erases, counters_.meta_erase_fails);
 }
 
-NandResult FlashArray::Program(Ppa ppa, PageData data, SimTime now,
+NandResult FlashArray::Program(Ppa ppa, const PageView& page, SimTime now,
                                FaultKind fault, double fail_prob,
                                std::uint64_t& programs,
                                std::uint64_t& fails) {
-  if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, nullptr};
+  if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, {}};
   std::uint32_t chip = geo_.ChipOf(ppa);
   Block& block = blocks_[ppa / geo_.pages_per_block];
-  std::uint32_t page = geo_.PageOf(ppa);
-  if (block.IsFull()) return {NandStatus::kProgramToFullBlock, now, nullptr};
+  std::uint32_t index = geo_.PageOf(ppa);
+  // Sequencing first: a rejected program never reaches the media, so it
+  // must not consume a scripted fault or shift the error RNG.
+  if (block.IsFull()) return {NandStatus::kProgramToFullBlock, now, {}};
+  if (index != block.WritePointer()) {
+    return {NandStatus::kProgramOutOfOrder, now, {}};
+  }
   if (SampleFault(fault, programs + fails + 1, now, fail_prob)) {
-    if (!block.BurnPage(page)) {
-      return {NandStatus::kProgramOutOfOrder, now, nullptr};
-    }
+    (void)block.BurnPage(index);  // cannot fail: sequencing checked above
     ++fails;
     // A failed program holds the die for the full program time — the status
     // check only reports failure at the end of the operation.
     SimTime done = Occupy(chip, now, latency_.page_program,
                           latency_.channel_transfer, /*bus_first=*/true);
-    return {NandStatus::kProgramFail, done, nullptr};
+    return {NandStatus::kProgramFail, done, {}};
   }
-  if (!block.Program(page, std::move(data))) {
-    return {NandStatus::kProgramOutOfOrder, now, nullptr};
-  }
+  (void)block.Program(index, page);  // cannot fail: sequencing checked above
   ++programs;
   SimTime done = Occupy(chip, now, latency_.page_program,
                         latency_.channel_transfer, /*bus_first=*/true);
-  return {NandStatus::kOk, done, nullptr};
+  return {NandStatus::kOk, done, {}};
 }
 
 NandResult FlashArray::Erase(BlockAddr addr, SimTime now, FaultKind fault,
                              double fail_prob, std::uint64_t& erases,
                              std::uint64_t& fails) {
   if (addr.chip >= geo_.TotalChips() || addr.block >= geo_.blocks_per_chip) {
-    return {NandStatus::kBadAddress, now, nullptr};
+    return {NandStatus::kBadAddress, now, {}};
   }
   if (SampleFault(fault, erases + fails + 1, now, fail_prob)) {
     ++fails;
@@ -217,7 +220,7 @@ NandResult FlashArray::Erase(BlockAddr addr, SimTime now, FaultKind fault,
     // busy for the erase pulse.
     SimTime done = Occupy(addr.chip, now, latency_.block_erase, 0,
                           /*bus_first=*/false);
-    return {NandStatus::kEraseFail, done, nullptr};
+    return {NandStatus::kEraseFail, done, {}};
   }
   const std::size_t block_id =
       static_cast<std::size_t>(addr.chip) * geo_.blocks_per_chip + addr.block;
@@ -225,7 +228,7 @@ NandResult FlashArray::Erase(BlockAddr addr, SimTime now, FaultKind fault,
   ++erases;
   SimTime done =
       Occupy(addr.chip, now, latency_.block_erase, 0, /*bus_first=*/false);
-  return {NandStatus::kOk, done, nullptr};
+  return {NandStatus::kOk, done, {}};
 }
 
 void FlashArray::SetMetadataBlocks(std::vector<std::uint64_t> block_ids) {
@@ -245,8 +248,8 @@ bool FlashArray::IsBadPage(Ppa ppa) const {
   return blocks_[ppa / geo_.pages_per_block].IsBadPage(geo_.PageOf(ppa));
 }
 
-const PageData* FlashArray::PeekPage(Ppa ppa) const {
-  if (!geo_.ValidPpa(ppa)) return nullptr;
+std::optional<PageView> FlashArray::PeekPage(Ppa ppa) const {
+  if (!geo_.ValidPpa(ppa)) return std::nullopt;
   return blocks_[ppa / geo_.pages_per_block].Read(geo_.PageOf(ppa));
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,9 +40,9 @@ struct NandResult {
   NandStatus status = NandStatus::kOk;
   /// Virtual time at which the operation finishes (die + bus occupancy).
   SimTime complete_time = 0;
-  /// For reads: the page payload, valid only while the array lives and the
-  /// block is not erased.
-  const PageData* data = nullptr;
+  /// For successful reads: the page, its bytes valid only while the array
+  /// lives and the block is not erased.
+  std::optional<PageView> data;
 
   bool ok() const { return status == NandStatus::kOk; }
 };
@@ -88,8 +89,11 @@ class FlashArray {
   /// complete_time accounts for die busy time, cell read, and bus transfer.
   NandResult ReadPage(Ppa ppa, SimTime now);
 
-  /// Program one physical page (must be the block's next sequential page).
-  NandResult ProgramPage(Ppa ppa, PageData data, SimTime now);
+  /// Program one physical page (must be the block's next sequential page)
+  /// with a copy of `page`: stamp, OOB and optional bytes. A page that breaks
+  /// the sequencing rules is rejected before any fault is sampled, so it
+  /// consumes no scripted event and no error-RNG draw.
+  NandResult ProgramPage(Ppa ppa, const PageView& page, SimTime now);
 
   /// Erase one block.
   NandResult EraseBlock(BlockAddr addr, SimTime now);
@@ -107,7 +111,7 @@ class FlashArray {
   /// counts under meta_page_programs, consults only the scripted plan
   /// (FaultKind::kMetaProgramFail) — never the probabilistic model or the
   /// shared error RNG.
-  NandResult ProgramMetaPage(Ppa ppa, PageData data, SimTime now);
+  NandResult ProgramMetaPage(Ppa ppa, const PageView& page, SimTime now);
 
   /// Erase a reserved metadata block (counts under meta_block_erases;
   /// scripted FaultKind::kMetaEraseFail only).
@@ -130,9 +134,9 @@ class FlashArray {
   }
 
   /// Zero-time content inspection (FTL tombstone peeks, rebuild scans,
-  /// tests): reads without touching the timing model. Returns nullptr for
+  /// tests): reads without touching the timing model. Empty for
   /// erased/bad/invalid addresses.
-  const PageData* PeekPage(Ppa ppa) const;
+  std::optional<PageView> PeekPage(Ppa ppa) const;
 
   bool IsProgrammed(Ppa ppa) const;
   /// Page consumed by a failed program (unreadable until the block erases).
@@ -176,9 +180,9 @@ class FlashArray {
 
   /// Shared body of the data and metadata entry points: only the fault
   /// kind, its probability and the (success, failure) counter pair differ.
-  NandResult Program(Ppa ppa, PageData data, SimTime now, FaultKind fault,
-                     double fail_prob, std::uint64_t& programs,
-                     std::uint64_t& fails);
+  NandResult Program(Ppa ppa, const PageView& page, SimTime now,
+                     FaultKind fault, double fail_prob,
+                     std::uint64_t& programs, std::uint64_t& fails);
   NandResult Erase(BlockAddr addr, SimTime now, FaultKind fault,
                    double fail_prob, std::uint64_t& erases,
                    std::uint64_t& fails);

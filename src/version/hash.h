@@ -6,7 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace insider::version {
 
@@ -14,10 +14,10 @@ using PayloadHash = std::uint64_t;
 
 /// FNV-1a 64-bit over the logical payload a host write carries: the stamp
 /// (the simulation's stand-in for content identity) followed by the optional
-/// literal bytes. Matches nand::PageData::SamePayload() equality: equal
+/// literal bytes. Matches nand::PageView::SamePayload() equality: equal
 /// payloads always hash equal.
 inline PayloadHash HashPayload(std::uint64_t stamp,
-                               const std::vector<std::byte>& bytes) {
+                               std::span<const std::byte> bytes) {
   constexpr std::uint64_t kOffset = 14695981039346656037ull;
   constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = kOffset;

@@ -107,6 +107,53 @@ TEST_F(NandFaultTest, TimeTriggeredFaultFiresOnFirstAttemptPastDeadline) {
   EXPECT_EQ(nand_.Plan().Pending(), 0u);
 }
 
+TEST_F(NandFaultTest, RejectedProgramConsumesNoScriptedFault) {
+  nand_.SetFaultPlan(nand::FaultPlan().FailProgramAtOp(1));
+
+  // Out of order on an erased block: rejected before it reaches the media.
+  EXPECT_EQ(nand_.ProgramPage(geo_.MakePpa(0, 0, 3), Page(1), 0).status,
+            nand::NandStatus::kProgramOutOfOrder);
+  EXPECT_EQ(nand_.Plan().Pending(), 1u);
+
+  // The first program that does reach the media is op 1 and fails.
+  EXPECT_EQ(nand_.ProgramPage(geo_.MakePpa(0, 0, 0), Page(2), 0).status,
+            nand::NandStatus::kProgramFail);
+  EXPECT_EQ(nand_.Plan().Pending(), 0u);
+  EXPECT_EQ(nand_.Counters().program_fails, 1u);
+
+  // A full block rejects without sampling either: arm the op right after
+  // the fill, then try the full block first.
+  nand_.SetFaultPlan(
+      nand::FaultPlan().FailProgramAtOp(2 + geo_.pages_per_block));
+  for (std::uint32_t p = 0; p < geo_.pages_per_block; ++p) {
+    ASSERT_TRUE(nand_.ProgramPage(geo_.MakePpa(0, 1, p), Page(p), 0).ok());
+  }
+  EXPECT_EQ(nand_.ProgramPage(geo_.MakePpa(0, 1, 0), Page(3), 0).status,
+            nand::NandStatus::kProgramToFullBlock);
+  EXPECT_EQ(nand_.Plan().Pending(), 1u);
+  EXPECT_EQ(nand_.ProgramPage(geo_.MakePpa(0, 2, 0), Page(4), 0).status,
+            nand::NandStatus::kProgramFail);
+}
+
+TEST_F(NandFaultTest, RejectedProgramLeavesTheErrorRngUntouched) {
+  nand::ErrorModel errors;
+  errors.program_fail_prob = 0.5;
+  nand::FlashArray probed(geo_, nand::LatencyModel::Zero(), errors, 7);
+  nand::FlashArray twin(geo_, nand::LatencyModel::Zero(), errors, 7);
+
+  EXPECT_EQ(probed.ProgramPage(geo_.MakePpa(1, 0, 3), Page(0), 0).status,
+            nand::NandStatus::kProgramOutOfOrder);
+
+  // Every attempt, failed or not, consumes its page, so consecutive PPAs of
+  // chip 0 are always the next legal program.
+  for (nand::Ppa ppa = 0; ppa < 32; ++ppa) {
+    EXPECT_EQ(probed.ProgramPage(ppa, Page(ppa), 0).status,
+              twin.ProgramPage(ppa, Page(ppa), 0).status)
+        << "ppa " << ppa;
+  }
+  EXPECT_EQ(probed.Counters(), twin.Counters());
+}
+
 // ---------------------------------------------------------------------------
 // FTL layer: re-drive, retirement, degradation.
 

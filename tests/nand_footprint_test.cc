@@ -3,6 +3,11 @@
 // device's resident footprint stays under the 64 MiB acceptance bound.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "ftl/page_ftl.h"
 #include "nand/flash_array.h"
 #include "nand/geometry.h"
@@ -19,7 +24,7 @@ TEST(NandFootprintTest, ReadsOfPristinePagesDoNotMaterialize) {
   nand::FlashArray array(nand::Geometry::Seed(), nand::LatencyModel::Zero());
   nand::NandResult r = array.ReadPage(12345, 0);
   EXPECT_EQ(r.status, nand::NandStatus::kReadOfErasedPage);
-  EXPECT_EQ(array.PeekPage(12345), nullptr);
+  EXPECT_FALSE(array.PeekPage(12345).has_value());
   EXPECT_FALSE(array.IsProgrammed(12345));
   EXPECT_FALSE(array.IsBadPage(12345));
   EXPECT_EQ(array.TotalEraseCount(), 0u);
@@ -33,8 +38,9 @@ TEST(NandFootprintTest, FirstProgramMaterializesExactlyOneBlock) {
   data.stamp = 7;
   ASSERT_TRUE(array.ProgramPage(geo.MakePpa(3, 5, 0), data, 0).ok());
   EXPECT_EQ(array.MaterializedBlocks(), 1u);
-  const nand::PageData* back = array.PeekPage(geo.MakePpa(3, 5, 0));
-  ASSERT_NE(back, nullptr);
+  const std::optional<nand::PageView> back =
+      array.PeekPage(geo.MakePpa(3, 5, 0));
+  ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stamp, 7u);
 }
 
@@ -43,9 +49,39 @@ TEST(NandFootprintTest, BlockStorageIsLazyUntilFirstProgram) {
   EXPECT_FALSE(block.Materialized());
   EXPECT_EQ(block.PagesPerBlock(), 64u);
   EXPECT_TRUE(block.IsErased());
-  EXPECT_EQ(block.Read(0), nullptr);
+  EXPECT_FALSE(block.Read(0).has_value());
   ASSERT_TRUE(block.Program(0, nand::PageData{}));
   EXPECT_TRUE(block.Materialized());
+}
+
+TEST(NandFootprintTest, PagesCostTheirRecordAndPayloadBytesOnly) {
+  nand::Geometry geo = nand::Geometry::Seed();
+  nand::FlashArray array(geo, nand::LatencyModel::Zero());
+  const std::uint64_t empty = array.ResidentBytesEstimate();
+
+  // A materialized block without payloads: one 32-byte record per page,
+  // plus at most the bad-page bitmap words.
+  ASSERT_TRUE(array.ProgramPage(geo.MakePpa(0, 0, 0), nand::PageView{1}, 0)
+                  .ok());
+  const std::uint64_t records = array.ResidentBytesEstimate() - empty;
+  const std::uint64_t bitmap_bytes =
+      (geo.pages_per_block + 63) / 64 * sizeof(std::uint64_t);
+  EXPECT_LE(records, 32ull * geo.pages_per_block + bitmap_bytes);
+
+  // One payload page adds its bytes plus a small handle.
+  const std::vector<std::byte> payload(geo.page_size, std::byte{0x5A});
+  ASSERT_TRUE(
+      array.ProgramPage(geo.MakePpa(0, 0, 1), nand::PageData{2, payload}, 0)
+          .ok());
+  const std::uint64_t added =
+      array.ResidentBytesEstimate() - empty - records;
+  EXPECT_GE(added, geo.page_size);
+  EXPECT_LE(added, geo.page_size + 64);
+
+  // Erase releases the payload; the record array stays for the next cycle.
+  ASSERT_TRUE(array.EraseBlock({0, 0}, 0).ok());
+  EXPECT_EQ(array.ResidentBytesEstimate() - empty, records);
+  EXPECT_EQ(array.MaterializedBlocks(), 1u);
 }
 
 TEST(PaperScaleFootprintTest, EmptyPaperScaleArrayCostsMegabytes) {

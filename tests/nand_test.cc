@@ -76,11 +76,11 @@ TEST(BlockTest, CannotProgramFullBlock) {
 
 TEST(BlockTest, ReadOfErasedPageIsNull) {
   Block b(4);
-  EXPECT_EQ(b.Read(0), nullptr);
+  EXPECT_FALSE(b.Read(0).has_value());
   b.Program(0, {77, {}});
-  ASSERT_NE(b.Read(0), nullptr);
+  ASSERT_TRUE(b.Read(0).has_value());
   EXPECT_EQ(b.Read(0)->stamp, 77u);
-  EXPECT_EQ(b.Read(1), nullptr);
+  EXPECT_FALSE(b.Read(1).has_value());
 }
 
 TEST(BlockTest, EraseResetsAndCounts) {
@@ -90,7 +90,7 @@ TEST(BlockTest, EraseResetsAndCounts) {
   b.Erase();
   EXPECT_TRUE(b.IsErased());
   EXPECT_EQ(b.EraseCount(), 1u);
-  EXPECT_EQ(b.Read(0), nullptr);
+  EXPECT_FALSE(b.Read(0).has_value());
   EXPECT_TRUE(b.Program(0, {3, {}}));
 }
 
