@@ -1,11 +1,12 @@
 // Versioning subsystem characterization (src/version).
 //
-// Part 1 — dedupe & DRAM overhead: a duplicate-heavy workload over a
+// Part 1 — pinned pages & DRAM overhead: a duplicate-heavy workload over a
 // protected range (file blocks drawn from a small content pool, the way
-// office documents share runs of identical blocks) ages into the
-// content-addressed store; reports the dedupe ratio (records stored per
-// object page pinned), the NAND bytes pinned, and the store's DRAM index
-// cost at packed firmware widths next to the paper's Table III budget.
+// office documents share runs of identical blocks) ages into the version
+// store; reports the pages pinned per version record (one: every archived
+// version keeps its own page, shared content or not), the NAND bytes
+// pinned, and the store's DRAM index cost at packed firmware widths next to
+// the paper's Table III budget.
 //
 // Part 2 — selective rollback latency vs retained depth: per-LBA chains of
 // {4, 16, 64} versions, then one RollBackRange over the protected range;
@@ -55,8 +56,8 @@ ftl::FtlConfig ProtectedDevice(Lba begin, Lba end, std::uint32_t keep,
   return cfg;
 }
 
-void DedupeAndDram(JsonWriter& json) {
-  PrintHeader("versioning — dedupe ratio and store DRAM overhead");
+void PagesAndDram(JsonWriter& json) {
+  PrintHeader("versioning — pinned pages and store DRAM overhead");
   const Lba kProtected = 2048;
   const std::size_t kContentPool = 64;  // distinct block contents in flight
   const std::size_t rounds = 2 * RepsFromEnv(2);
@@ -77,10 +78,11 @@ void DedupeAndDram(JsonWriter& json) {
   const ftl::FtlStats& stats = ftl.Stats();
   const version::VersionStore& store = ftl.Store();
   const std::uint64_t page_size = ftl.Config().geometry.page_size;
-  const double archived = static_cast<double>(stats.archived_versions);
-  const double dedupe_ratio =
-      archived > 0 ? static_cast<double>(stats.archive_dedupe_hits) / archived
-                   : 0.0;
+  const double records = static_cast<double>(store.VersionCount());
+  const double pages_per_record =
+      records > 0 ? static_cast<double>(store.PageCount()) / records : 0.0;
+  const double dram_per_record =
+      records > 0 ? static_cast<double>(store.DramBytes()) / records : 0.0;
   const double store_mb =
       static_cast<double>(store.StoreBytes(page_size)) / (1024.0 * 1024.0);
   const double dram_mb =
@@ -89,26 +91,25 @@ void DedupeAndDram(JsonWriter& json) {
 
   std::printf("%-28s %12zu\n", "archived versions",
               static_cast<std::size_t>(stats.archived_versions));
-  std::printf("%-28s %12zu\n", "dedupe hits",
-              static_cast<std::size_t>(stats.archive_dedupe_hits));
-  std::printf("%-28s %12.3f\n", "dedupe ratio", dedupe_ratio);
-  std::printf("%-28s %12zu\n", "object pages pinned", store.ObjectCount());
   std::printf("%-28s %12zu\n", "version records", store.VersionCount());
+  std::printf("%-28s %12zu\n", "pages pinned", store.PageCount());
+  std::printf("%-28s %12.3f\n", "pages pinned per record", pages_per_record);
+  std::printf("%-28s %12.1f\n", "DRAM B per record (packed)", dram_per_record);
   std::printf("%-28s %12.3f\n", "store NAND MiB", store_mb);
   std::printf("%-28s %12.4f\n", "store DRAM MiB (packed)", dram_mb);
   std::printf("%-28s %12.2f\n", "paper Table III DRAM MiB", table3_mb);
 
-  json.Key("dedupe")
+  json.Key("store")
       .BeginObject()
       .Field("protected_lbas", static_cast<std::uint64_t>(kProtected))
       .Field("rounds", static_cast<std::uint64_t>(rounds))
       .Field("content_pool", static_cast<std::uint64_t>(kContentPool))
       .Field("archived_versions", stats.archived_versions)
-      .Field("dedupe_hits", stats.archive_dedupe_hits)
-      .Field("dedupe_ratio", dedupe_ratio)
-      .Field("object_pages", static_cast<std::uint64_t>(store.ObjectCount()))
       .Field("version_records",
              static_cast<std::uint64_t>(store.VersionCount()))
+      .Field("pages_pinned", static_cast<std::uint64_t>(store.PageCount()))
+      .Field("pages_per_record", pages_per_record)
+      .Field("dram_bytes_per_record", dram_per_record)
       .Field("store_bytes", store.StoreBytes(page_size))
       .Field("store_dram_bytes", store.DramBytes())
       .Field("store_dram_mb", dram_mb)
@@ -238,7 +239,7 @@ int main() {
   JsonWriter json("BENCH_versioning.json");
   json.BeginObject();
   json.Key("bench").Value("versioning");
-  DedupeAndDram(json);
+  PagesAndDram(json);
   RollbackVsDepth(json);
   FrontendOverhead(json);
   json.EndObject();

@@ -161,14 +161,12 @@ struct FtlStats {
   /// Tombstone pages programmed to persist trims (FtlConfig::trim_tombstones).
   std::uint64_t trim_tombstones = 0;
   /// Released backups of protected LBAs handed to the version store (all
-  /// outcomes: stored, deduplicated, or pruned on arrival).
+  /// outcomes: stored or pruned on arrival).
   std::uint64_t archived_versions = 0;
-  /// Archived versions whose payload was already stored (content dedupe).
-  std::uint64_t archive_dedupe_hits = 0;
-  /// Archived object pages released because their versions aged out of the
+  /// Archived pages released because their versions aged out of the
   /// range policy.
   std::uint64_t archived_pruned = 0;
-  /// Archived object pages sacrificed to free space (store eviction after
+  /// Archived pages sacrificed to free space (store eviction after
   /// the recovery queue ran dry).
   std::uint64_t archived_evictions = 0;
   /// Archived versions lost to uncorrectable ECC during GC relocation.
@@ -245,8 +243,8 @@ enum class PageState : std::uint8_t {
   kInvalid,   ///< superseded and reclaimable
   kRetained,  ///< superseded but guarded by the recovery queue
   kBad,       ///< consumed by a failed program; unreadable until retirement
-  /// Superseded, aged out of the ring, but pinned as a content-addressed
-  /// object of the version store (protected-range retention). Relocated by
+  /// Superseded, aged out of the ring, but pinned by a record of the
+  /// version store (protected-range retention). Relocated by
   /// GC like retained pages; released only by policy pruning or eviction.
   kArchived,
 };

@@ -165,7 +165,7 @@ bool GcEngine::EnsureFreeSpace(SimTime& now) {
         }
         continue;
       }
-      // The ring is dry. If the version store still pins archived objects,
+      // The ring is dry. If the version store still pins archived pages,
       // sacrifice the oldest versions next — protected ranges degrade last,
       // but they do degrade before the device refuses writes.
       if (f.store_.VersionCount() > 0) {

@@ -18,7 +18,7 @@
 // Victim choice is delegated to the pluggable VictimPolicy; the engine owns
 // only the mechanics: copy valid/retained/archived pages to fresh frontiers
 // (through the shared AllocationPolicy), repoint mappings, recovery-queue
-// guards and version-store objects, absorb uncorrectable-ECC losses, erase,
+// guards and version-store records, absorb uncorrectable-ECC losses, erase,
 // and recycle the block.
 #pragma once
 

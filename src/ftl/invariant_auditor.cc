@@ -1,8 +1,8 @@
 #include "ftl/invariant_auditor.h"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 
 #include "ftl/page_ftl.h"
 #include "version/version_store.h"
@@ -285,33 +285,31 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                   v.actual = "no guard (backup lost)";
                 });
     } else if (st == PageState::kArchived) {
-      // V1: an archived page is exactly a version-store object page.
+      // V1: an archived page is named by exactly one data record, in the
+      // chain of the LBA its p2l tag carries.
       ++archived_total;
       ++recomputed[bid].archived;
-      std::optional<version::PayloadHash> hash = ftl.store_.HashAt(ppa);
-      rec.Check(hash.has_value(), Kind::kVersionStoreMismatch,
+      const Lba lba = ftl.p2l_.Get(ppa);
+      const std::vector<version::VersionRecord>* chain =
+          lba == kInvalidLba ? nullptr : ftl.store_.ChainOf(lba);
+      const std::size_t naming =
+          chain == nullptr
+              ? 0
+              : static_cast<std::size_t>(std::count_if(
+                    chain->begin(), chain->end(),
+                    [ppa](const version::VersionRecord& r) {
+                      return !r.tombstone && r.ppa == ppa;
+                    }));
+      rec.Check(naming == 1, Kind::kVersionStoreMismatch,
                 [&](InvariantViolation& v) {
                   v.where = "archived page " + Str(ppa);
-                  v.expected = "a version-store object stored at this page";
-                  v.actual = "no object (orphaned archive)";
+                  v.expected = "exactly one data record of its p2l lba's "
+                               "chain naming it";
+                  v.actual = lba == kInvalidLba
+                                 ? "no p2l lba"
+                                 : Str(naming) + " in the chain of lba " +
+                                       Str(lba);
                 });
-      if (hash.has_value()) {
-        std::optional<nand::Ppa> obj_ppa = ftl.store_.ObjectPpa(*hash);
-        rec.Check(obj_ppa.has_value() && *obj_ppa == ppa,
-                  Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
-                    v.where = "archived page " + Str(ppa);
-                    v.expected = "object ppa round-trips to this page";
-                    v.actual = obj_ppa.has_value()
-                                   ? "object points at ppa " + Str(*obj_ppa)
-                                   : "hash resolves to no object";
-                  });
-        rec.Check(ftl.store_.RefcountOf(*hash) >= 1,
-                  Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
-                    v.where = "archived page " + Str(ppa);
-                    v.expected = "object refcount >= 1";
-                    v.actual = "refcount 0 (unreferenced object page)";
-                  });
-      }
     }
   }
   for (std::uint32_t b = 0; b < geo.TotalBlocks() && !rec.Full(); ++b) {
@@ -356,56 +354,53 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
               v.actual = Str(ftl.archived_pages_);
             });
 
-  // --- V2-V4: the version store's index against page states and itself. --
-  rec.Check(ftl.store_.ObjectCount() == archived_total,
-            Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
-              v.where = "version-store object count";
-              v.expected = Str(archived_total) + " (archived page total)";
-              v.actual = Str(ftl.store_.ObjectCount());
-            });
-  std::unordered_map<version::PayloadHash, std::uint32_t> ref_from_chains;
+  // --- V2-V4: every record against the page it names. ---
+  std::uint64_t data_records = 0;
   ftl.store_.ForEachChain(
       [&](Lba lba, const std::vector<version::VersionRecord>& records) {
         for (const version::VersionRecord& r : records) {
-          if (r.tombstone) continue;
-          ++ref_from_chains[r.hash];
-          // V3: every data record's content must still be resolvable.
-          rec.Check(ftl.store_.ObjectPpa(r.hash).has_value(),
+          if (rec.Full()) return;
+          auto where = [&] {
+            return "version record {lba " + Str(lba) + ", written_at " +
+                   std::to_string(r.written_at) + "}";
+          };
+          if (r.tombstone) {
+            // V3: a tombstone pins no page.
+            rec.Check(r.ppa == nand::kInvalidPpa,
+                      Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
+                        v.where = where();
+                        v.expected = "tombstone names no page";
+                        v.actual = "names ppa " + Str(r.ppa);
+                      });
+            continue;
+          }
+          ++data_records;
+          // V2: a data record names an archived page tagged with its LBA.
+          const bool in_range = r.ppa < geo.TotalPages();
+          rec.Check(in_range &&
+                        ftl.page_state_.Get(r.ppa) == PageState::kArchived &&
+                        ftl.p2l_.Get(r.ppa) == lba,
                     Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
-                      v.where = "version record {lba " + Str(lba) +
-                                ", written_at " +
-                                std::to_string(r.written_at) + "}";
-                      v.expected = "its hash resolves to a stored object";
-                      v.actual = "no object (payload lost without pruning "
-                                 "the record)";
+                      v.where = where();
+                      v.expected = "names an Archived page with p2l lba " +
+                                   Str(lba);
+                      v.actual =
+                          !in_range
+                              ? "ppa " + Str(r.ppa) + " out of range"
+                              : "ppa " + Str(r.ppa) + " in state " +
+                                    PageStateName(
+                                        ftl.page_state_.Get(r.ppa)) +
+                                    ", p2l lba " + Str(ftl.p2l_.Get(r.ppa));
                     });
         }
       });
-  ftl.store_.ForEachObject(
-      [&](version::PayloadHash hash, const version::StoreObject& obj) {
-        if (rec.Full()) return;
-        rec.Check(obj.ppa < geo.TotalPages() &&
-                      ftl.page_state_.Get(obj.ppa) == PageState::kArchived,
-                  Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
-                    v.where = "store object at ppa " + Str(obj.ppa);
-                    v.expected = "page state Archived";
-                    v.actual = obj.ppa < geo.TotalPages()
-                                   ? "page state " +
-                                         PageStateName(ftl.page_state_.Get(obj.ppa))
-                                   : "ppa out of range";
-                  });
-        // V2: the refcount is exactly the number of referencing records.
-        auto it = ref_from_chains.find(hash);
-        std::uint32_t expected_refs =
-            it == ref_from_chains.end() ? 0 : it->second;
-        rec.Check(obj.refcount == expected_refs && expected_refs >= 1,
-                  Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {
-                    v.where = "store object at ppa " + Str(obj.ppa);
-                    v.expected = Str(expected_refs) +
-                                 " refs (recomputed from chains, >= 1)";
-                    v.actual = Str(obj.refcount) + " refs";
-                  });
-      });
+  // V4: one page per data record.
+  rec.Check(data_records == archived_total, Kind::kVersionStoreMismatch,
+            [&](InvariantViolation& v) {
+              v.where = "version-store data records";
+              v.expected = Str(archived_total) + " (archived page total)";
+              v.actual = Str(data_records);
+            });
 
   // --- B1-B3 + structural: block health vs pools, frontiers, and NAND. ---
   std::size_t pool_total = 0;

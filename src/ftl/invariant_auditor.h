@@ -29,12 +29,12 @@
 //   B2  ∀ b: health[b] = PendingRetire ⇒ b ∉ pools ∧ b not a frontier
 //   B3  ∀ b ∈ pools: health[b] = Healthy ∧ erased(b)
 //   B4  ∀ p: bad-in-NAND(p) ⇒ state[p] = Bad; state[p] = Free ⇔ ¬programmed(p)
-//   V1  ∀ p: state[p] = Archived ⇒ programmed(p) ∧ store resolves p to an
-//                object whose ppa round-trips back to p with refcount ≥ 1
-//   V2  ∀ object o ∈ store: state[o.ppa] = Archived, and o.refcount equals
-//                the number of version records referencing o's hash
-//   V3  ∀ non-tombstone record r ∈ store: r.hash resolves to an object
-//   V4  |store objects| = archived page total = Σ_b counters[b].archived
+//   V1  ∀ p: state[p] = Archived ⇒ programmed(p) ∧ p2l[p] ≠ ⊥ ∧ exactly
+//                one data record of chain(p2l[p]) names p
+//   V2  ∀ data record r ∈ chain(lba): state[r.ppa] = Archived
+//                ∧ p2l[r.ppa] = lba
+//   V3  ∀ tombstone record r: r.ppa = ⊥
+//   V4  |data records| = archived page total = Σ_b counters[b].archived
 //   G2  ∀ data block b: b ∈ victim index ⇔ full(b) ∧ b not a frontier ∧
 //                health[b] = Healthy; a member is keyed by (counters[b]
 //                movable, erase count)

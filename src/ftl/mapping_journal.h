@@ -41,7 +41,7 @@ enum class JournalOpKind : std::uint8_t {
   kRetireBlock,    ///< block `ppa` left service (erase fail / drained retire)
   kRelease,        ///< ReleaseExpired(t1) performed releases/prunes/trim aging
   kForcedRelease,  ///< space pressure released the oldest backup at t1
-  kStoreEvict,     ///< space pressure evicted `ppa` object pages at t1
+  kStoreEvict,     ///< space pressure evicted `ppa` archived pages at t1
   kRollback,       ///< full rollback to detect time t1 remapped the device
 };
 

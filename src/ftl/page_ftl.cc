@@ -311,7 +311,7 @@ void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
     page_state_.Set(entry.old_ppa, PageState::kInvalid);
     p2l_.Set(entry.old_ppa, kInvalidLba);
   }
-  // Otherwise the page is now a version-store object: it stays on NAND with
+  // Otherwise the page is now an archived version: it stays on NAND with
   // its p2l tag intact so GC relocation and the rebuild scan keep working on
   // it. Either way re-key the block once its counters have settled (the
   // archive path can prune other pages of the same block on the way).
@@ -332,28 +332,19 @@ bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
     // tombstone page is freed like an unprotected release. (This makes
     // tombstone chain records best-effort across power loss; data versions
     // are the crash-exact substrate. DESIGN.md §11.)
-    store_.Archive(entry.lba, entry.old_ppa, d->oob.written_at, 0,
+    store_.Archive(entry.lba, entry.old_ppa, d->oob.written_at,
                    /*tombstone=*/true, now, on_prune);
     return false;
   }
-  version::PayloadHash hash = version::HashPayload(d->stamp, d->bytes);
-  version::ArchiveResult result = store_.Archive(
-      entry.lba, entry.old_ppa, d->oob.written_at, hash,
-      /*tombstone=*/false, now, on_prune);
-  switch (result) {
-    case version::ArchiveResult::kStored:
-      page_state_.Set(entry.old_ppa, PageState::kArchived);
-      ++block_counters_[BlockIdOf(entry.old_ppa)].archived;
-      ++archived_pages_;
-      return true;
-    case version::ArchiveResult::kDeduped:
-      ++stats_.archive_dedupe_hits;
-      return false;
-    case version::ArchiveResult::kDropped:
-      ++stats_.archived_pruned;  // pruned on arrival (already out of policy)
-      return false;
+  if (!store_.Archive(entry.lba, entry.old_ppa, d->oob.written_at,
+                      /*tombstone=*/false, now, on_prune)) {
+    ++stats_.archived_pruned;  // pruned on arrival (already out of policy)
+    return false;
   }
-  return false;
+  page_state_.Set(entry.old_ppa, PageState::kArchived);
+  ++block_counters_[BlockIdOf(entry.old_ppa)].archived;
+  ++archived_pages_;
+  return true;
 }
 
 void PageFtl::ReleaseArchived(nand::Ppa ppa) {
@@ -470,7 +461,7 @@ bool PageFtl::MovePage(nand::Ppa src, nand::Ppa dst) {
       ++dst_info.retained;
       break;
     case PageState::kArchived:
-      if (!store_.Relocate(src, dst)) return false;
+      if (!store_.Relocate(lba, src, dst)) return false;
       --src_info.archived;
       ++dst_info.archived;
       break;
@@ -503,7 +494,7 @@ std::size_t PageFtl::DropPage(nand::Ppa src) {
       }
       break;
     case PageState::kArchived:
-      dropped_records = store_.DropPpa(src);
+      if (store_.DropPpa(p2l_.Get(src), src)) dropped_records = 1;
       --info.archived;
       --archived_pages_;
       break;
@@ -810,7 +801,7 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
     // The newest version written at or before the restore point, from the
     // three places a version can live. Source priority on equal times:
     // current mapping > ring > store (current wins so the LBA counts as
-    // unchanged; a ring page wins over a store object so the copy reads
+    // unchanged; a ring page wins over an archived one so the copy reads
     // the original page).
     struct Candidate {
       SimTime written_at = std::numeric_limits<SimTime>::min();
@@ -843,12 +834,7 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
       for (const version::VersionRecord& rec : *chain) {  // oldest first
         if (rec.written_at > restore_point) break;
         if (best.found && rec.written_at <= best.written_at) continue;
-        if (rec.tombstone) {
-          best = {rec.written_at, nand::kInvalidPpa, true, true, false};
-        } else if (std::optional<nand::Ppa> obj = store_.ObjectPpa(rec.hash);
-                   obj.has_value()) {
-          best = {rec.written_at, *obj, false, true, false};
-        }
+        best = {rec.written_at, rec.ppa, rec.tombstone, true, false};
       }
     }
 
@@ -957,9 +943,8 @@ void PageFtl::WipeVolatileState() {
   // The version store's index is DRAM too. On the full-scan path archived
   // pages rescan as ordinary old versions, re-enter the rebuilt ring, and
   // re-archive in displacement order through the post-scan ReleaseExpired()
-  // — converging to the pre-crash chains (exact when no cross-page dedupe
-  // occurred). The checkpoint fast path restores the index — dedupe
-  // structure included — exactly.
+  // — converging to the pre-crash chains, one page per data record. The
+  // checkpoint fast path restores the index exactly.
   store_.Clear();
   trim_journal_.clear();
   pending_retire_.clear();
@@ -1250,7 +1235,7 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
     }
     case JournalOpKind::kRelease:
       // Re-run the whole release pass at the recorded clock; deterministic
-      // given the replayed state, and it reproduces archive/dedupe decisions
+      // given the replayed state, and it reproduces archive/prune decisions
       // and tombstone aging exactly (the PR-6 crash-exactness gap).
       ReleaseExpired(rec.t1);
       return true;
@@ -1368,17 +1353,19 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
         continue;
       }
     }
-    if (!oob.tombstone && store_.Enabled()) {
-      version::PayloadHash hash =
-          version::HashPayload(dp.data.stamp, dp.data.bytes);
-      std::optional<nand::Ppa> obj = store_.ObjectPpa(hash);
-      if (obj.has_value() &&
-          page_state_.Get(*obj) == PageState::kArchived) {
-        const std::optional<nand::PageView> src_data = RawPage(*obj);
-        if (src_data.has_value() &&
-            src_data->oob.written_at == oob.written_at &&
-            src_data->SamePayload(dp.data)) {
-          if (!MovePage(*obj, dp.ppa)) return false;
+    if (const std::vector<version::VersionRecord>* chain =
+            oob.tombstone ? nullptr : store_.ChainOf(oob.lba);
+        chain != nullptr) {
+      auto rec = std::find_if(
+          chain->begin(), chain->end(), [&](const version::VersionRecord& r) {
+            return !r.tombstone && r.written_at == oob.written_at &&
+                   page_state_.Get(r.ppa) == PageState::kArchived;
+          });
+      if (rec != chain->end()) {
+        const nand::Ppa src = rec->ppa;
+        const std::optional<nand::PageView> src_data = RawPage(src);
+        if (src_data.has_value() && src_data->SamePayload(dp.data)) {
+          if (!MovePage(src, dp.ppa)) return false;
           continue;
         }
       }

@@ -231,7 +231,7 @@ class PageFtl {
   std::uint64_t ValidPageCount() const { return valid_pages_; }
   std::uint64_t RetainedPageCount() const { return retained_pages_; }
   std::uint64_t ArchivedPageCount() const { return archived_pages_; }
-  /// The content-addressed version store behind the range policies (empty
+  /// The version store behind the range policies (empty
   /// and inert when FtlConfig::range_policies is null/empty).
   const version::VersionStore& Store() const { return store_; }
   /// Outcome of validating FtlConfig's retention settings at construction.
@@ -414,10 +414,10 @@ class PageFtl {
   /// LBA is protected (page becomes kArchived, zero-copy), free it
   /// otherwise. `now` drives the store's inline pruning.
   void ReleaseBackup(const BackupEntry& entry, SimTime now);
-  /// Archive path of ReleaseBackup. True = the page became a store object
-  /// and must stay on NAND.
+  /// Archive path of ReleaseBackup. True = the page became an archived
+  /// version and must stay on NAND.
   bool ArchiveBackup(const BackupEntry& entry, SimTime now);
-  /// The version store stopped needing an object page: kArchived → kInvalid.
+  /// The version store dropped an archived page: kArchived → kInvalid.
   void ReleaseArchived(nand::Ppa ppa);
   /// Raw OOB/payload peek that bypasses the timed/ECC read path (the same
   /// trick IsTombstone uses), so bookkeeping never perturbs the

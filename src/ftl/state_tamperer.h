@@ -51,11 +51,22 @@ class FtlStateTamperer {
 
   /// Violation class 5 — version-store mismatch: flip a programmed-but-
   /// invalid page to Archived (with the counters kept consistent, so only
-  /// the store cross-checks fire: no object stores this page).
+  /// the store cross-checks fire: no record names this page).
   void OrphanArchivedPage(nand::Ppa ppa) {
     ftl_.page_state_.Set(ppa, PageState::kArchived);
     ++ftl_.block_counters_[ftl_.BlockIdOf(ppa)].archived;
     ++ftl_.archived_pages_;
+  }
+
+  /// Violation class 5, reverse direction: free an archived page behind the
+  /// store's back (counters kept consistent), so a data record names a page
+  /// that is no longer archived.
+  void UnarchivePage(nand::Ppa ppa) {
+    ftl_.page_state_.Set(ppa, PageState::kInvalid);
+    ftl_.p2l_.Set(ppa, kInvalidLba);
+    --ftl_.block_counters_[ftl_.BlockIdOf(ppa)].archived;
+    --ftl_.archived_pages_;
+    ftl_.RefreshVictim(ftl_.BlockIdOf(ppa));
   }
 
  private:

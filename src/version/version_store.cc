@@ -9,55 +9,41 @@ namespace {
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 }  // namespace
 
-ArchiveResult VersionStore::Archive(Lba lba, nand::Ppa ppa,
-                                    SimTime written_at, PayloadHash hash,
-                                    bool tombstone, SimTime now,
-                                    const ReleaseFn& release) {
+bool VersionStore::Archive(Lba lba, nand::Ppa ppa, SimTime written_at,
+                           bool tombstone, SimTime now,
+                           const ReleaseFn& release) {
   const RangePolicy* policy = policies_ ? policies_->Find(lba) : nullptr;
   assert(policy != nullptr);  // the FTL only archives protected LBAs
-  if (policy == nullptr) return ArchiveResult::kDropped;
+  if (policy == nullptr) return false;
 
   Chain& chain = chains_[lba];
   // Per-LBA versions arrive oldest-first (the ring releases in displacement
   // order, which per LBA is chronological); insert from the back so equal
   // timestamps keep arrival order.
-  auto pos = chain.records.end();
-  while (pos != chain.records.begin() &&
-         std::prev(pos)->written_at > written_at) {
+  auto pos = chain.end();
+  while (pos != chain.begin() && std::prev(pos)->written_at > written_at) {
     --pos;
   }
-  chain.records.insert(pos, VersionRecord{written_at, hash, tombstone});
-  NoteRecordAdded(lba);
-
-  bool kept_page = false;
-  if (!tombstone) {
-    auto [it, inserted] = objects_.try_emplace(hash, StoreObject{ppa, 0});
-    ++it->second.refcount;
-    if (inserted) {
-      by_ppa_.emplace(ppa, hash);
-      kept_page = true;
-    } else if (m_dedupe_hits_ != nullptr) {
-      m_dedupe_hits_->Inc();
-    }
-  }
+  const VersionRecord rec{written_at, tombstone ? nand::kInvalidPpa : ppa,
+                          tombstone};
+  chain.insert(pos, rec);
+  NoteRecordAdded(lba, rec);
   if (m_archived_ != nullptr) m_archived_->Inc();
 
   bool guarded = false;
-  std::size_t pruned = PruneChain(lba, chain, *policy, now, release,
-                                  kept_page ? ppa : nand::kInvalidPpa,
-                                  &guarded);
+  std::size_t pruned =
+      PruneChain(lba, chain, *policy, now, release, rec.ppa, &guarded);
   if (m_pruned_ != nullptr && pruned > 0) {
     m_pruned_->Inc(static_cast<std::uint64_t>(pruned));
   }
-  if (chain.records.empty()) {
+  if (chain.empty()) {
     chains_.erase(lba);
   } else {
     next_due_ = std::min(next_due_, NextExpiry(chain, *policy));
   }
   RefreshGauges();
-  if (guarded) return ArchiveResult::kDropped;  // pruned on arrival
-  if (tombstone) return ArchiveResult::kDropped;  // no payload retained
-  return kept_page ? ArchiveResult::kStored : ArchiveResult::kDeduped;
+  // A tombstone pins no page; a version pruned on arrival never did.
+  return !tombstone && !guarded;
 }
 
 void VersionStore::PruneExpired(SimTime now, const ReleaseFn& release) {
@@ -69,7 +55,7 @@ void VersionStore::PruneExpired(SimTime now, const ReleaseFn& release) {
     assert(policy != nullptr);
     pruned_pages += PruneChain(it->first, it->second, *policy, now, release,
                                nand::kInvalidPpa, nullptr);
-    if (it->second.records.empty()) {
+    if (it->second.empty()) {
       it = chains_.erase(it);
     } else {
       next_due_ = std::min(next_due_, NextExpiry(it->second, *policy));
@@ -77,8 +63,8 @@ void VersionStore::PruneExpired(SimTime now, const ReleaseFn& release) {
     }
   }
   if (m_pruned_ != nullptr && pruned_pages > 0) {
-    // Counts whole-chain record drops, pages or not, via NoteRecordDropped;
-    // the counter here tracks freed object pages.
+    // Counts freed pages; record drops, tombstones included, are tracked
+    // by NoteRecordDropped.
     m_pruned_->Inc(static_cast<std::uint64_t>(pruned_pages));
   }
   RefreshGauges();
@@ -93,14 +79,13 @@ std::size_t VersionStore::EvictOldest(std::size_t max_pages,
     // space-pressure path, so the linear scan is acceptable.
     auto best = chains_.begin();
     for (auto it = std::next(chains_.begin()); it != chains_.end(); ++it) {
-      if (it->second.records.front().written_at <
-          best->second.records.front().written_at) {
+      if (it->second.front().written_at < best->second.front().written_at) {
         best = it;
       }
     }
     freed += DropFront(best->first, best->second, release, nand::kInvalidPpa,
                        nullptr);
-    if (best->second.records.empty()) chains_.erase(best);
+    if (best->second.empty()) chains_.erase(best);
   }
   if (m_evicted_ != nullptr && freed > 0) {
     m_evicted_->Inc(static_cast<std::uint64_t>(freed));
@@ -109,45 +94,33 @@ std::size_t VersionStore::EvictOldest(std::size_t max_pages,
   return freed;
 }
 
-bool VersionStore::Relocate(nand::Ppa from, nand::Ppa to) {
-  auto it = by_ppa_.find(from);
-  if (it == by_ppa_.end()) return false;
-  PayloadHash hash = it->second;
-  by_ppa_.erase(it);
-  by_ppa_.emplace(to, hash);
-  objects_[hash].ppa = to;
+bool VersionStore::Relocate(Lba lba, nand::Ppa from, nand::Ppa to) {
+  auto it = chains_.find(lba);
+  if (it == chains_.end()) return false;
+  auto rec = FindPage(it->second, from);
+  if (rec == it->second.end()) return false;
+  rec->ppa = to;
   return true;
 }
 
-std::size_t VersionStore::DropPpa(nand::Ppa ppa) {
-  auto it = by_ppa_.find(ppa);
-  if (it == by_ppa_.end()) return 0;
-  PayloadHash hash = it->second;
-  by_ppa_.erase(it);
-  objects_.erase(hash);
-  // Every record of that content — in any chain — is now unrecoverable.
-  std::size_t removed = 0;
-  for (auto cit = chains_.begin(); cit != chains_.end();) {
-    std::vector<VersionRecord>& recs = cit->second.records;
-    for (std::size_t i = recs.size(); i-- > 0;) {
-      if (!recs[i].tombstone && recs[i].hash == hash) {
-        recs.erase(recs.begin() + static_cast<std::ptrdiff_t>(i));
-        NoteRecordDropped(cit->first);
-        ++removed;
-      }
-    }
-    cit = recs.empty() ? chains_.erase(cit) : std::next(cit);
-  }
-  if (m_lost_ != nullptr) m_lost_->Inc(static_cast<std::uint64_t>(removed));
+bool VersionStore::DropPpa(Lba lba, nand::Ppa ppa) {
+  auto it = chains_.find(lba);
+  if (it == chains_.end()) return false;
+  Chain& chain = it->second;
+  auto rec = FindPage(chain, ppa);
+  if (rec == chain.end()) return false;
+  NoteRecordDropped(lba, *rec);
+  chain.erase(rec);
+  if (chain.empty()) chains_.erase(it);
+  if (m_lost_ != nullptr) m_lost_->Inc();
   RefreshGauges();
-  return removed;
+  return true;
 }
 
 void VersionStore::Clear() {
   chains_.clear();
-  objects_.clear();
-  by_ppa_.clear();
   record_count_ = 0;
+  page_count_ = 0;
   std::fill(per_range_records_.begin(), per_range_records_.end(),
             std::size_t{0});
   next_due_ = kNever;
@@ -156,23 +129,18 @@ void VersionStore::Clear() {
 
 VersionStore::Snapshot VersionStore::SnapshotState() const {
   Snapshot snap;
-  for (const auto& [lba, chain] : chains_) snap.chains[lba] = chain.records;
-  snap.objects = objects_;
-  snap.by_ppa = by_ppa_;
+  snap.chains = chains_;
   snap.record_count = record_count_;
+  snap.page_count = page_count_;
   snap.per_range_records = per_range_records_;
   snap.next_due = next_due_;
   return snap;
 }
 
 void VersionStore::RestoreState(const Snapshot& snapshot) {
-  chains_.clear();
-  for (const auto& [lba, records] : snapshot.chains) {
-    chains_[lba].records = records;
-  }
-  objects_ = snapshot.objects;
-  by_ppa_ = snapshot.by_ppa;
+  chains_ = snapshot.chains;
   record_count_ = snapshot.record_count;
+  page_count_ = snapshot.page_count;
   per_range_records_ = snapshot.per_range_records;
   next_due_ = snapshot.next_due;
   RefreshGauges();
@@ -180,35 +148,13 @@ void VersionStore::RestoreState(const Snapshot& snapshot) {
 
 const std::vector<VersionRecord>* VersionStore::ChainOf(Lba lba) const {
   auto it = chains_.find(lba);
-  return it == chains_.end() ? nullptr : &it->second.records;
-}
-
-std::optional<nand::Ppa> VersionStore::ObjectPpa(PayloadHash hash) const {
-  auto it = objects_.find(hash);
-  if (it == objects_.end()) return std::nullopt;
-  return it->second.ppa;
-}
-
-std::optional<PayloadHash> VersionStore::HashAt(nand::Ppa ppa) const {
-  auto it = by_ppa_.find(ppa);
-  if (it == by_ppa_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::uint32_t VersionStore::RefcountOf(PayloadHash hash) const {
-  auto it = objects_.find(hash);
-  return it == objects_.end() ? 0u : it->second.refcount;
-}
-
-void VersionStore::ForEachObject(
-    const std::function<void(PayloadHash, const StoreObject&)>& fn) const {
-  for (const auto& [hash, obj] : objects_) fn(hash, obj);
+  return it == chains_.end() ? nullptr : &it->second;
 }
 
 void VersionStore::ForEachChain(
     const std::function<void(Lba, const std::vector<VersionRecord>&)>& fn)
     const {
-  for (const auto& [lba, chain] : chains_) fn(lba, chain.records);
+  for (const auto& [lba, chain] : chains_) fn(lba, chain);
 }
 
 void VersionStore::AttachMetrics(obs::MetricsRegistry* registry,
@@ -216,11 +162,9 @@ void VersionStore::AttachMetrics(obs::MetricsRegistry* registry,
   if (registry == nullptr) return;
   page_size_ = page_size;
   m_archived_ = &registry->GetCounter("version.archived_total");
-  m_dedupe_hits_ = &registry->GetCounter("version.dedupe_hits");
   m_pruned_ = &registry->GetCounter("version.pruned_total");
   m_evicted_ = &registry->GetCounter("version.evicted_total");
   m_lost_ = &registry->GetCounter("version.lost_total");
-  m_objects_ = &registry->GetGauge("version.store_objects");
   m_versions_ = &registry->GetGauge("version.versions_retained");
   m_store_bytes_ = &registry->GetGauge("version.store_bytes");
   m_dram_bytes_ = &registry->GetGauge("version.dram_bytes");
@@ -237,25 +181,18 @@ void VersionStore::AttachMetrics(obs::MetricsRegistry* registry,
 std::size_t VersionStore::DropFront(Lba lba, Chain& chain,
                                     const ReleaseFn& release,
                                     nand::Ppa guard_ppa, bool* guarded) {
-  assert(!chain.records.empty());
-  VersionRecord rec = chain.records.front();
-  chain.records.erase(chain.records.begin());
-  NoteRecordDropped(lba);
+  assert(!chain.empty());
+  const VersionRecord rec = chain.front();
+  chain.erase(chain.begin());
+  NoteRecordDropped(lba, rec);
   if (rec.tombstone) return 0;
-  auto it = objects_.find(rec.hash);
-  if (it == objects_.end()) return 0;  // already lost to media errors
-  assert(it->second.refcount > 0);
-  if (--it->second.refcount > 0) return 0;
-  nand::Ppa ppa = it->second.ppa;
-  by_ppa_.erase(ppa);
-  objects_.erase(it);
-  if (ppa == guard_ppa) {
+  if (rec.ppa == guard_ppa) {
     // The page being archived right now was pruned before the FTL marked it
-    // archived; tell Archive() to report kDropped instead of releasing.
+    // archived; tell Archive() to report it unkept instead of releasing.
     if (guarded != nullptr) *guarded = true;
     return 0;
   }
-  release(ppa);
+  release(rec.ppa);
   return 1;
 }
 
@@ -264,8 +201,8 @@ std::size_t VersionStore::PruneChain(Lba lba, Chain& chain,
                                      const ReleaseFn& release,
                                      nand::Ppa guard_ppa, bool* guarded) {
   std::size_t freed = 0;
-  while (chain.records.size() > policy.keep_versions &&
-         chain.records.front().written_at <= now - policy.keep_window) {
+  while (chain.size() > policy.keep_versions &&
+         chain.front().written_at <= now - policy.keep_window) {
     freed += DropFront(lba, chain, release, guard_ppa, guarded);
   }
   return freed;
@@ -273,13 +210,22 @@ std::size_t VersionStore::PruneChain(Lba lba, Chain& chain,
 
 SimTime VersionStore::NextExpiry(const Chain& chain,
                                  const RangePolicy& policy) const {
-  if (chain.records.size() <= policy.keep_versions) return kNever;
+  if (chain.size() <= policy.keep_versions) return kNever;
   // The front becomes prunable once its age reaches keep_window.
-  return chain.records.front().written_at + policy.keep_window;
+  return chain.front().written_at + policy.keep_window;
 }
 
-void VersionStore::NoteRecordAdded(Lba lba) {
+VersionStore::Chain::iterator VersionStore::FindPage(Chain& chain,
+                                                    nand::Ppa ppa) {
+  return std::find_if(chain.begin(), chain.end(),
+                      [ppa](const VersionRecord& r) {
+                        return !r.tombstone && r.ppa == ppa;
+                      });
+}
+
+void VersionStore::NoteRecordAdded(Lba lba, const VersionRecord& rec) {
   ++record_count_;
+  if (!rec.tombstone) ++page_count_;
   if (policies_ == nullptr) return;
   std::size_t idx = policies_->IndexOf(lba);
   if (idx == static_cast<std::size_t>(-1)) return;
@@ -289,9 +235,13 @@ void VersionStore::NoteRecordAdded(Lba lba) {
   ++per_range_records_[idx];
 }
 
-void VersionStore::NoteRecordDropped(Lba lba) {
+void VersionStore::NoteRecordDropped(Lba lba, const VersionRecord& rec) {
   assert(record_count_ > 0);
   --record_count_;
+  if (!rec.tombstone) {
+    assert(page_count_ > 0);
+    --page_count_;
+  }
   if (policies_ == nullptr) return;
   std::size_t idx = policies_->IndexOf(lba);
   if (idx == static_cast<std::size_t>(-1) ||
@@ -303,8 +253,7 @@ void VersionStore::NoteRecordDropped(Lba lba) {
 }
 
 void VersionStore::RefreshGauges() {
-  if (m_objects_ == nullptr) return;
-  m_objects_->Set(static_cast<double>(objects_.size()));
+  if (m_versions_ == nullptr) return;
   m_versions_->Set(static_cast<double>(record_count_));
   m_store_bytes_->Set(static_cast<double>(StoreBytes(page_size_)));
   m_dram_bytes_->Set(static_cast<double>(DramBytes()));

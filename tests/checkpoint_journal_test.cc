@@ -370,61 +370,77 @@ TEST(CheckpointRebuildTest, GcErasesInsideTheDeltaReplayViaEraseIntents) {
   }
 }
 
-TEST(CheckpointRebuildTest, DedupedVersionStoreSurvivesCrashExactly) {
-  // PR-6 limitation, now fixed: cross-page dedupe used to be a documented
-  // crash-exactness gap (the full rescan rebuilds duplicate-free chains).
-  // The checkpoint restores the store index — refcounts, shared objects —
-  // and the journal replays post-checkpoint archives, so a crashed device
-  // matches its uncrashed twin even WITH dedupe hits.
+TEST(CheckpointRebuildTest, IdenticalContentVersionChainsSurviveCrashExactly) {
+  // Identical content on many protected LBAs: every archived version keeps
+  // its own page, so both rebuild paths reconstruct the chains exactly —
+  // the checkpoint restores the index and the journal replays the archives
+  // after it; the full scan re-archives every old page from its OOB.
   auto table = std::make_shared<version::RangePolicyTable>();
   ASSERT_TRUE(table->Add({0, 64, /*keep_versions=*/8,
                           /*keep_window=*/Seconds(120)}));
-  ftl::FtlConfig cfg = CheckpointedFtl();
-  cfg.range_policies = table;
-  ftl::PageFtl crashed(cfg);
-  ftl::PageFtl twin(cfg);
-  auto both_write = [&](Lba lba, std::uint64_t stamp, SimTime t) {
-    ASSERT_TRUE(crashed.WritePage(lba, Page(stamp), t).ok());
-    ASSERT_TRUE(twin.WritePage(lba, Page(stamp), t).ok());
-  };
+  for (bool checkpointed : {true, false}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint fast path" : "full scan");
+    ftl::FtlConfig cfg = CheckpointedFtl();
+    cfg.checkpoint.enabled = checkpointed;
+    cfg.range_policies = table;
+    ftl::PageFtl crashed(cfg);
+    ftl::PageFtl twin(cfg);
+    auto both_write = [&](Lba lba, std::uint64_t stamp, SimTime t) {
+      ASSERT_TRUE(crashed.WritePage(lba, Page(stamp), t).ok());
+      ASSERT_TRUE(twin.WritePage(lba, Page(stamp), t).ok());
+    };
 
-  // Identical payloads on many protected LBAs: archiving them dedupes to
-  // shared objects (stamp + bytes equal => same content hash).
-  for (Lba lba = 0; lba < 32; ++lba) both_write(lba, 42, Seconds(1));
-  for (Lba lba = 0; lba < 32; ++lba) both_write(lba, 43, Seconds(2));
-  crashed.ReleaseExpired(Seconds(15));
-  twin.ReleaseExpired(Seconds(15));
-  ASSERT_GT(crashed.Stats().archive_dedupe_hits, 0u);
-  ASSERT_EQ(crashed.Stats().archive_dedupe_hits,
-            twin.Stats().archive_dedupe_hits);
-  crashed.TakeCheckpoint(Seconds(16));
-  twin.TakeCheckpoint(Seconds(16));
+    for (Lba lba = 0; lba < 32; ++lba) both_write(lba, 42, Seconds(1));
+    for (Lba lba = 0; lba < 32; ++lba) both_write(lba, 43, Seconds(2));
+    crashed.ReleaseExpired(Seconds(15));
+    twin.ReleaseExpired(Seconds(15));
+    crashed.TakeCheckpoint(Seconds(16));
+    twin.TakeCheckpoint(Seconds(16));
 
-  // More dedupable overwrites after the checkpoint: journal replay re-runs
-  // the release pass, reproducing these archive decisions too.
-  for (Lba lba = 0; lba < 32; ++lba) both_write(lba, 44, Seconds(20));
-  crashed.ReleaseExpired(Seconds(35));
-  twin.ReleaseExpired(Seconds(35));
+    // More identical overwrites after the checkpoint: journal replay re-runs
+    // the release pass, reproducing these archive decisions too.
+    for (Lba lba = 0; lba < 32; ++lba) both_write(lba, 44, Seconds(20));
+    crashed.ReleaseExpired(Seconds(35));
+    twin.ReleaseExpired(Seconds(35));
+    // Versions 42 and 43 of all 32 LBAs: one page each.
+    ASSERT_EQ(twin.Store().VersionCount(), 64u);
+    ASSERT_EQ(twin.Store().PageCount(), 64u);
 
-  ftl::PageFtl::RebuildReport report = crashed.RebuildFromNand(Seconds(36));
-  ASSERT_TRUE(report.used_checkpoint)
-      << "dedupe exactness is a fast-path guarantee";
-  EXPECT_EQ(crashed.CheckInvariants(), "");  // V2 pins refcounts vs chains
-  EXPECT_EQ(crashed.Store().VersionCount(), twin.Store().VersionCount());
-  EXPECT_EQ(crashed.Store().ObjectCount(), twin.Store().ObjectCount());
+    ftl::PageFtl::RebuildReport report = crashed.RebuildFromNand(Seconds(36));
+    EXPECT_EQ(report.used_checkpoint, checkpointed);
+    EXPECT_EQ(crashed.CheckInvariants(), "");
+    for (Lba lba = 0; lba < 64; ++lba) {
+      const std::vector<version::VersionRecord>* ca =
+          crashed.Store().ChainOf(lba);
+      const std::vector<version::VersionRecord>* cb = twin.Store().ChainOf(lba);
+      ASSERT_EQ(ca == nullptr, cb == nullptr) << lba;
+      if (ca == nullptr) continue;
+      ASSERT_EQ(ca->size(), cb->size()) << lba;
+      for (std::size_t i = 0; i < ca->size(); ++i) {
+        EXPECT_EQ((*ca)[i].written_at, (*cb)[i].written_at) << lba;
+        EXPECT_EQ((*ca)[i].ppa, (*cb)[i].ppa) << lba;
+        EXPECT_EQ((*ca)[i].tombstone, (*cb)[i].tombstone) << lba;
+      }
+    }
 
-  ftl::RangeRollbackReport ra =
-      crashed.RollBackRange(0, 64, Seconds(1), Seconds(40));
-  ftl::RangeRollbackReport rb =
-      twin.RollBackRange(0, 64, Seconds(1), Seconds(40));
-  EXPECT_EQ(ra.restored, rb.restored);
-  EXPECT_EQ(ra.failed, 0u);
-  for (Lba lba = 0; lba < 64; ++lba) {
-    ftl::FtlResult a = crashed.ReadPage(lba, Seconds(41));
-    ftl::FtlResult b = twin.ReadPage(lba, Seconds(41));
-    ASSERT_EQ(a.status, b.status) << lba;
-    if (a.ok()) {
-      EXPECT_EQ(a.data.stamp, b.data.stamp) << lba;
+    ftl::RangeRollbackReport ra =
+        crashed.RollBackRange(0, 64, Seconds(1), Seconds(40));
+    ftl::RangeRollbackReport rb =
+        twin.RollBackRange(0, 64, Seconds(1), Seconds(40));
+    EXPECT_EQ(ra.restored, 32u);
+    EXPECT_EQ(ra.restored, rb.restored);
+    EXPECT_EQ(ra.unmapped, rb.unmapped);
+    EXPECT_EQ(ra.unchanged, rb.unchanged);
+    EXPECT_EQ(ra.unversioned, rb.unversioned);
+    EXPECT_EQ(ra.failed, 0u);
+    EXPECT_EQ(rb.failed, 0u);
+    for (Lba lba = 0; lba < 64; ++lba) {
+      ftl::FtlResult a = crashed.ReadPage(lba, Seconds(41));
+      ftl::FtlResult b = twin.ReadPage(lba, Seconds(41));
+      ASSERT_EQ(a.status, b.status) << lba;
+      if (a.ok()) {
+        EXPECT_EQ(a.data.stamp, b.data.stamp) << lba;
+      }
     }
   }
 }

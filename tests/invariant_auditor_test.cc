@@ -187,7 +187,7 @@ TEST(InvariantAuditorTest, HealthyVersioningAuditsClean) {
 }
 
 // Violation class 5 — version-store mismatch: a page flipped to Archived
-// (counters kept consistent) that no store object accounts for.
+// (counters kept consistent) that no version record names.
 TEST(InvariantAuditorTest, DetectsOrphanArchivedPage) {
   FtlConfig cfg = SmallConfig();
   auto table = std::make_shared<version::RangePolicyTable>();
@@ -209,6 +209,30 @@ TEST(InvariantAuditorTest, DetectsOrphanArchivedPage) {
   AuditReport report = InvariantAuditor::Audit(ftl, /*max_violations=*/64);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(Kind::kVersionStoreMismatch)) << report.Diff();
+}
+
+// Violation class 5, reverse direction: a version record naming a page that
+// is no longer Archived (the page was freed behind the store's back).
+TEST(InvariantAuditorTest, DetectsRecordNamingNonArchivedPage) {
+  FtlConfig cfg = SmallConfig();
+  auto table = std::make_shared<version::RangePolicyTable>();
+  ASSERT_TRUE(table->Add({0, 32, 8, Seconds(300)}));
+  cfg.range_policies = table;
+  PageFtl ftl(cfg);
+  ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
+  nand::Ppa archived = *ftl.Lookup(5);
+  ASSERT_TRUE(ftl.WritePage(5, {2, {}}, Seconds(2)).ok());
+  ftl.ReleaseExpired(Seconds(20));
+  ASSERT_EQ(ftl.StateOf(archived), PageState::kArchived);
+  ASSERT_TRUE(InvariantAuditor::Audit(ftl).ok());
+
+  FtlStateTamperer(ftl).UnarchivePage(archived);
+
+  AuditReport report = InvariantAuditor::Audit(ftl, /*max_violations=*/64);
+  EXPECT_FALSE(report.ok());
+  for (const InvariantViolation& v : report.violations) {
+    EXPECT_EQ(v.kind, Kind::kVersionStoreMismatch) << report.Diff();
+  }
 }
 
 TEST(InvariantAuditorTest, DiffNamesKindLocationAndBothValues) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -465,9 +466,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointCrashPropertyTest,
 // byte-for-byte with each other and with the reference model.
 //
 // Phase 1 stays write-only (the tombstone guarantee is window-scoped, as in
-// the fault suite above) and stamps are globally unique, so the version
-// store's crash-convergence precondition holds: no content dedupe occurred
-// (asserted), hence the rebuilt chains equal the uncrashed ones.
+// the fault suite above). Stamps come from a small pool, so identical
+// content recurs across protected LBAs (asserted); every archived version
+// still keeps its own page, so the rebuilt chains equal the uncrashed ones
+// record for record.
 class SelectiveRollbackPropertyTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -501,18 +503,30 @@ TEST_P(SelectiveRollbackPropertyTest, ProtectedRangeRestoresAcrossCrashes) {
     Lba lba = 0;
     std::uint64_t stamp = 0;
   };
+  constexpr std::uint64_t kStampPool = 6;  // distinct contents per phase
   std::vector<Op> history;
   std::vector<std::int64_t> at_restore(n, -1);  // model at the restore point
   std::vector<std::int64_t> latest(n, -1);      // model after the burst
 
-  // Phase 1: write-only history; its final state is the restore target.
+  // Phase 1: write-only history; its final state is the restore target,
+  // and its midpoint state a second, older one that only archived versions
+  // can reach.
   SimTime t = 0;
+  SimTime mid_point = 0;
+  std::vector<std::int64_t> at_mid;  // model at the midpoint
+  std::vector<bool> mid_archived(n, false);  // midpoint version overwritten
   for (int op = 0; op < 300; ++op) {
     t += rng.BelowTime(9'000);
     Lba lba = rng.Below(n);
-    history.push_back({t, lba, static_cast<std::uint64_t>(1000 + op)});
-    at_restore[lba] = 1000 + op;
-    latest[lba] = 1000 + op;
+    if (op > 149 && at_mid[lba] >= 0) mid_archived[lba] = true;
+    const std::uint64_t stamp = 1000 + rng.Below(kStampPool);
+    history.push_back({t, lba, stamp});
+    at_restore[lba] = static_cast<std::int64_t>(stamp);
+    latest[lba] = static_cast<std::int64_t>(stamp);
+    if (op == 149) {
+      mid_point = t;
+      at_mid = at_restore;
+    }
   }
   ASSERT_LT(t, Seconds(3));
   const SimTime restore_point = Seconds(3);
@@ -524,8 +538,9 @@ TEST_P(SelectiveRollbackPropertyTest, ProtectedRangeRestoresAcrossCrashes) {
   for (int op = 0; op < 150; ++op) {
     bt += rng.BelowTime(40'000);
     Lba lba = rng.Below(n);
-    history.push_back({bt, lba, static_cast<std::uint64_t>(900000 + op)});
-    latest[lba] = 900000 + op;
+    const std::uint64_t stamp = 900000 + rng.Below(kStampPool);
+    history.push_back({bt, lba, stamp});
+    latest[lba] = static_cast<std::int64_t>(stamp);
   }
   ASSERT_LT(bt, attack_begin + Seconds(6));
 
@@ -542,6 +557,19 @@ TEST_P(SelectiveRollbackPropertyTest, ProtectedRangeRestoresAcrossCrashes) {
       ASSERT_EQ(clean.RecoveryQueueSize(), 0u);
       ASSERT_GT(clean.Store().VersionCount(), 0u)
           << "the protected range never reached the store";
+      // Identical content sits in the chains of different LBAs.
+      std::map<std::uint64_t, Lba> first_lba_of_stamp;
+      bool shared = false;
+      clean.Store().ForEachChain(
+          [&](Lba lba, const std::vector<version::VersionRecord>& chain) {
+            for (const version::VersionRecord& r : chain) {
+              const std::uint64_t stamp =
+                  clean.Nand().PeekPage(r.ppa).value().stamp;
+              auto [it, fresh] = first_lba_of_stamp.emplace(stamp, lba);
+              shared = shared || (!fresh && it->second != lba);
+            }
+          });
+      ASSERT_TRUE(shared) << "no content shared across protected LBAs";
     }
     if (i == crash_at) (void)faulty.RebuildFromNand(op.t);
     ASSERT_TRUE(clean.WritePage(op.lba, {op.stamp, {}}, op.t).ok()) << i;
@@ -557,15 +585,28 @@ TEST_P(SelectiveRollbackPropertyTest, ProtectedRangeRestoresAcrossCrashes) {
   for (const PageFtl* dev : {&clean, &faulty}) {
     ASSERT_EQ(dev->Stats().forced_releases, 0u);
     ASSERT_EQ(dev->Stats().queue_evictions, 0u);
-    // This suite exercises the *full-rescan* convergence path, whose
-    // exactness needs duplicate-free chains (unique stamps, asserted here).
-    // Deduped chains survive crashes via the checkpoint fast path instead —
-    // verified behavior in checkpoint_journal_test
-    // (DedupedVersionStoreSurvivesCrashExactly), no longer a precondition.
-    ASSERT_EQ(dev->Stats().archive_dedupe_hits, 0u)
-        << "full-rescan exactness needs unique stamps";
     ASSERT_EQ(dev->Stats().archived_evictions, 0u);
     ASSERT_FALSE(dev->IsDegraded());
+  }
+
+  // The full rescan rebuilt every chain record for record: same versions,
+  // each on a page holding the same content as the twin's.
+  for (Lba lba = kProtBegin; lba < kProtEnd; ++lba) {
+    const std::vector<version::VersionRecord>* ca = clean.Store().ChainOf(lba);
+    const std::vector<version::VersionRecord>* cb =
+        faulty.Store().ChainOf(lba);
+    ASSERT_EQ(ca == nullptr, cb == nullptr) << "lba " << lba;
+    if (ca == nullptr) continue;
+    ASSERT_EQ(ca->size(), cb->size()) << "lba " << lba;
+    for (std::size_t i = 0; i < ca->size(); ++i) {
+      const version::VersionRecord& x = (*ca)[i];
+      const version::VersionRecord& y = (*cb)[i];
+      ASSERT_EQ(x.written_at, y.written_at) << "lba " << lba;
+      ASSERT_EQ(x.tombstone, y.tombstone) << "lba " << lba;
+      ASSERT_EQ(clean.Nand().PeekPage(x.ppa).value().stamp,
+                faulty.Nand().PeekPage(y.ppa).value().stamp)
+          << "lba " << lba;
+    }
   }
 
   const SimTime recover_at = Seconds(40);
@@ -580,12 +621,14 @@ TEST_P(SelectiveRollbackPropertyTest, ProtectedRangeRestoresAcrossCrashes) {
   EXPECT_EQ(clean.CheckInvariants(), "");
   EXPECT_EQ(faulty.CheckInvariants(), "");
 
+  std::vector<std::int64_t> after_restore(n, -1);
   for (Lba lba = 0; lba < n; ++lba) {
     FtlResult a = clean.ReadPage(lba, recover_at);
     FtlResult b = faulty.ReadPage(lba, recover_at);
     ASSERT_EQ(a.status, b.status) << "lba " << lba;
     if (a.ok()) {
       ASSERT_EQ(a.data.stamp, b.data.stamp) << "lba " << lba;
+      after_restore[lba] = static_cast<std::int64_t>(a.data.stamp);
     }
 
     if (lba < kProtEnd) {
@@ -616,6 +659,40 @@ TEST_P(SelectiveRollbackPropertyTest, ProtectedRangeRestoresAcrossCrashes) {
       }
     }
   }
+
+  // Selective rollback consumes nothing: rolling the range back again, to
+  // the phase-1 midpoint, reads the archived versions themselves.
+  const SimTime recover_mid_at = recover_at + Seconds(1);
+  RangeRollbackReport ma =
+      clean.RollBackRange(kProtBegin, kProtEnd, mid_point, recover_mid_at);
+  RangeRollbackReport mb =
+      faulty.RollBackRange(kProtBegin, kProtEnd, mid_point, recover_mid_at);
+  EXPECT_EQ(ma.restored, mb.restored);
+  EXPECT_EQ(ma.unversioned, mb.unversioned);
+  EXPECT_EQ(ma.failed, 0u);
+  EXPECT_EQ(mb.failed, 0u);
+  EXPECT_EQ(clean.CheckInvariants(), "");
+  EXPECT_EQ(faulty.CheckInvariants(), "");
+  std::size_t from_store = 0;
+  for (Lba lba = kProtBegin; lba < kProtEnd; ++lba) {
+    if (mid_archived[lba]) ++from_store;
+    FtlResult a = clean.ReadPage(lba, recover_mid_at);
+    FtlResult b = faulty.ReadPage(lba, recover_mid_at);
+    ASSERT_EQ(a.status, b.status) << "lba " << lba;
+    // An LBA first written after the midpoint has nothing to revert to and
+    // keeps its content.
+    const std::int64_t expect =
+        at_mid[lba] >= 0 ? at_mid[lba] : after_restore[lba];
+    if (expect < 0) {
+      EXPECT_EQ(a.status, FtlStatus::kUnmapped) << "protected lba " << lba;
+      continue;
+    }
+    ASSERT_TRUE(a.ok()) << "protected lba " << lba;
+    EXPECT_EQ(a.data.stamp, b.data.stamp) << "lba " << lba;
+    EXPECT_EQ(a.data.stamp, static_cast<std::uint64_t>(expect))
+        << "protected lba " << lba << " at the midpoint";
+  }
+  EXPECT_GT(from_store, 0u) << "no midpoint version was archived";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectiveRollbackPropertyTest,

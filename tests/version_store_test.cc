@@ -1,7 +1,7 @@
-// Content-addressed version store: direct unit coverage of the chain /
-// object bookkeeping (dedupe, pruning, eviction, relocation, media loss)
-// plus FTL-integration coverage of the archive path — aged ring backups of
-// protected LBAs become kArchived store objects, selective rollback mines
+// Version store: direct unit coverage of the chain bookkeeping (pruning,
+// eviction, relocation, media loss) plus FTL-integration coverage of the
+// archive path — aged ring backups of protected LBAs become kArchived pages
+// named by one record each, selective rollback mines
 // them, and devices without protected ranges stay stat-for-stat identical
 // to the seed behavior.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "ftl/page_ftl.h"
 #include "nand/geometry.h"
 #include "obs/metrics.h"
-#include "version/hash.h"
 #include "version/range_policy.h"
 #include "version/version_store.h"
 
@@ -34,41 +33,15 @@ struct ReleaseLog {
   }
 };
 
-TEST(VersionStoreTest, ArchiveStoresThenDedupesIdenticalContent) {
-  VersionStore store(MakeTable({0, 64, 8, 0}));
-  ReleaseLog rel;
-  const PayloadHash h = HashPayload(42, {});
-
-  EXPECT_EQ(store.Archive(3, 100, Seconds(1), h, false, Seconds(2), rel.Fn()),
-            ArchiveResult::kStored);
-  EXPECT_EQ(store.Archive(9, 200, Seconds(1), h, false, Seconds(2), rel.Fn()),
-            ArchiveResult::kDeduped);
-
-  EXPECT_EQ(store.ObjectCount(), 1u);
-  EXPECT_EQ(store.VersionCount(), 2u);
-  EXPECT_EQ(store.RefcountOf(h), 2u);
-  EXPECT_EQ(store.ObjectPpa(h), nand::Ppa{100});
-  EXPECT_EQ(store.HashAt(100), h);
-  EXPECT_FALSE(store.HashAt(200).has_value());  // deduped page never stored
-  EXPECT_TRUE(rel.pages.empty());
-  // One page pinned; two records plus one object in DRAM.
-  EXPECT_EQ(store.StoreBytes(4096), 4096u);
-  EXPECT_EQ(store.DramBytes(), VersionStore::kPackedObjectBytes +
-                                   2 * VersionStore::kPackedRecordBytes);
-}
-
 TEST(VersionStoreTest, PrunesByCountWhenWindowExpired) {
   VersionStore store(MakeTable({0, 64, 2, 0}));  // keep 2, no time grace
   ReleaseLog rel;
-  store.Archive(5, 10, Seconds(1), HashPayload(1, {}), false, Seconds(1),
-                rel.Fn());
-  store.Archive(5, 20, Seconds(2), HashPayload(2, {}), false, Seconds(2),
-                rel.Fn());
+  store.Archive(5, 10, Seconds(1), false, Seconds(1), rel.Fn());
+  store.Archive(5, 20, Seconds(2), false, Seconds(2), rel.Fn());
   EXPECT_TRUE(rel.pages.empty());
 
   // Third version: the chain exceeds keep_versions, the oldest page frees.
-  store.Archive(5, 30, Seconds(3), HashPayload(3, {}), false, Seconds(3),
-                rel.Fn());
+  store.Archive(5, 30, Seconds(3), false, Seconds(3), rel.Fn());
   ASSERT_EQ(rel.pages.size(), 1u);
   EXPECT_EQ(rel.pages[0], nand::Ppa{10});
   EXPECT_EQ(store.VersionCount(), 2u);
@@ -79,10 +52,8 @@ TEST(VersionStoreTest, PrunesByCountWhenWindowExpired) {
 TEST(VersionStoreTest, KeepWindowShieldsVersionsUntilTheyAge) {
   VersionStore store(MakeTable({0, 64, 1, Seconds(5)}));
   ReleaseLog rel;
-  store.Archive(5, 10, Seconds(1), HashPayload(1, {}), false, Seconds(2),
-                rel.Fn());
-  store.Archive(5, 20, Seconds(2), HashPayload(2, {}), false, Seconds(2),
-                rel.Fn());
+  store.Archive(5, 10, Seconds(1), false, Seconds(2), rel.Fn());
+  store.Archive(5, 20, Seconds(2), false, Seconds(2), rel.Fn());
   // Both are younger than the 5 s grace window: nothing prunable yet.
   EXPECT_TRUE(rel.pages.empty());
   EXPECT_EQ(store.VersionCount(), 2u);
@@ -99,31 +70,26 @@ TEST(VersionStoreTest, KeepWindowShieldsVersionsUntilTheyAge) {
 TEST(VersionStoreTest, RecordPrunedOnArrivalSuppressesItsOwnRelease) {
   VersionStore store(MakeTable({0, 64, 1, 0}));
   ReleaseLog rel;
-  store.Archive(5, 10, Seconds(9), HashPayload(9, {}), false, Seconds(9),
-                rel.Fn());
+  store.Archive(5, 10, Seconds(9), false, Seconds(9), rel.Fn());
   // A strictly older version arrives late (ring drained out of order across
   // LBAs). It sorts to the chain front and the keep-1 policy prunes it
   // immediately — but its page was never marked archived, so the release
-  // callback must NOT fire for it; kDropped tells the FTL to reclaim it.
-  EXPECT_EQ(store.Archive(5, 20, Seconds(2), HashPayload(2, {}), false,
-                          Seconds(9), rel.Fn()),
-            ArchiveResult::kDropped);
+  // callback must NOT fire for it; returning false tells the FTL to
+  // reclaim it.
+  EXPECT_FALSE(store.Archive(5, 20, Seconds(2), false, Seconds(9), rel.Fn()));
   EXPECT_TRUE(rel.pages.empty());
   EXPECT_EQ(store.VersionCount(), 1u);
-  EXPECT_EQ(store.ObjectCount(), 1u);
-  EXPECT_EQ(store.ObjectPpa(HashPayload(9, {})), nand::Ppa{10});
-  EXPECT_FALSE(store.ObjectPpa(HashPayload(2, {})).has_value());
+  EXPECT_EQ(store.PageCount(), 1u);
+  ASSERT_NE(store.ChainOf(5), nullptr);
+  EXPECT_EQ(store.ChainOf(5)->front().ppa, nand::Ppa{10});
 }
 
 TEST(VersionStoreTest, EvictOldestTakesGloballyOldestTiesToLowestLba) {
   VersionStore store(MakeTable({0, 64, 8, 0}));
   ReleaseLog rel;
-  store.Archive(7, 70, Seconds(1), HashPayload(70, {}), false, Seconds(1),
-                rel.Fn());
-  store.Archive(3, 30, Seconds(1), HashPayload(30, {}), false, Seconds(1),
-                rel.Fn());
-  store.Archive(5, 50, Seconds(2), HashPayload(50, {}), false, Seconds(2),
-                rel.Fn());
+  store.Archive(7, 70, Seconds(1), false, Seconds(1), rel.Fn());
+  store.Archive(3, 30, Seconds(1), false, Seconds(1), rel.Fn());
+  store.Archive(5, 50, Seconds(2), false, Seconds(2), rel.Fn());
 
   EXPECT_EQ(store.EvictOldest(1, rel.Fn()), 1u);
   ASSERT_EQ(rel.pages.size(), 1u);
@@ -132,52 +98,55 @@ TEST(VersionStoreTest, EvictOldestTakesGloballyOldestTiesToLowestLba) {
   EXPECT_EQ(store.EvictOldest(8, rel.Fn()), 2u);  // drains the rest
   EXPECT_EQ(store.EvictOldest(8, rel.Fn()), 0u);  // empty store: no progress
   EXPECT_EQ(store.VersionCount(), 0u);
-  EXPECT_EQ(store.ObjectCount(), 0u);
+  EXPECT_EQ(store.PageCount(), 0u);
 }
 
 TEST(VersionStoreTest, RelocateFollowsGcPageMoves) {
   VersionStore store(MakeTable({0, 64, 8, 0}));
   ReleaseLog rel;
-  const PayloadHash h = HashPayload(1, {});
-  store.Archive(5, 10, Seconds(1), h, false, Seconds(1), rel.Fn());
+  store.Archive(5, 10, Seconds(1), false, Seconds(1), rel.Fn());
 
-  EXPECT_TRUE(store.Relocate(10, 99));
-  EXPECT_EQ(store.ObjectPpa(h), nand::Ppa{99});
-  EXPECT_EQ(store.HashAt(99), h);
-  EXPECT_FALSE(store.HashAt(10).has_value());
-  EXPECT_FALSE(store.Relocate(10, 50));  // stale source: no object there
+  EXPECT_TRUE(store.Relocate(5, 10, 99));
+  ASSERT_NE(store.ChainOf(5), nullptr);
+  EXPECT_EQ(store.ChainOf(5)->front().ppa, nand::Ppa{99});
+  EXPECT_FALSE(store.Relocate(5, 10, 50));  // stale source: no record there
+  EXPECT_FALSE(store.Relocate(6, 99, 50));  // another LBA's chain
 }
 
-TEST(VersionStoreTest, DropPpaRemovesEveryRecordOfThatContent) {
+TEST(VersionStoreTest, DropPpaDropsOnlyThatPagesRecord) {
   VersionStore store(MakeTable({0, 64, 8, 0}));
   ReleaseLog rel;
-  const PayloadHash shared = HashPayload(42, {});
-  store.Archive(3, 100, Seconds(1), shared, false, Seconds(1), rel.Fn());
-  store.Archive(9, 200, Seconds(2), shared, false, Seconds(2), rel.Fn());
-  store.Archive(3, 300, Seconds(3), HashPayload(7, {}), false, Seconds(3),
-                rel.Fn());
+  // LBAs 3 and 9 hold the same content on two pages; LBA 3 has a second
+  // version on a third page.
+  store.Archive(3, 100, Seconds(1), false, Seconds(1), rel.Fn());
+  store.Archive(9, 200, Seconds(2), false, Seconds(2), rel.Fn());
+  store.Archive(3, 300, Seconds(3), false, Seconds(3), rel.Fn());
 
-  // The canonical page for `shared` dies to media errors: both records that
-  // depended on it (either chain) become unrecoverable.
-  EXPECT_EQ(store.DropPpa(100), 2u);
-  EXPECT_FALSE(store.ObjectPpa(shared).has_value());
-  EXPECT_EQ(store.VersionCount(), 1u);
-  EXPECT_EQ(store.ChainOf(9), nullptr);
+  // Page 100 dies to media errors: only the record naming it goes.
+  EXPECT_TRUE(store.DropPpa(3, 100));
+  EXPECT_EQ(store.VersionCount(), 2u);
+  EXPECT_EQ(store.PageCount(), 2u);
+  ASSERT_NE(store.ChainOf(9), nullptr);
+  EXPECT_EQ(store.ChainOf(9)->front().ppa, nand::Ppa{200});
   ASSERT_NE(store.ChainOf(3), nullptr);
-  EXPECT_EQ(store.ChainOf(3)->size(), 1u);
-  EXPECT_EQ(store.DropPpa(100), 0u);  // already gone
+  ASSERT_EQ(store.ChainOf(3)->size(), 1u);
+  EXPECT_EQ(store.ChainOf(3)->front().ppa, nand::Ppa{300});
+  EXPECT_FALSE(store.DropPpa(3, 100));  // already gone
+  EXPECT_FALSE(store.DropPpa(9, 300));  // another LBA's page
+  EXPECT_TRUE(rel.pages.empty());
 }
 
 TEST(VersionStoreTest, TombstoneRecordsCarryNoObject) {
   VersionStore store(MakeTable({0, 64, 8, 0}));
   ReleaseLog rel;
-  EXPECT_EQ(store.Archive(5, 10, Seconds(2), 0, /*tombstone=*/true,
-                          Seconds(2), rel.Fn()),
-            ArchiveResult::kDropped);  // page reclaimable immediately
+  // Page reclaimable immediately.
+  EXPECT_FALSE(store.Archive(5, 10, Seconds(2), /*tombstone=*/true,
+                             Seconds(2), rel.Fn()));
   EXPECT_EQ(store.VersionCount(), 1u);
-  EXPECT_EQ(store.ObjectCount(), 0u);
+  EXPECT_EQ(store.PageCount(), 0u);
   ASSERT_NE(store.ChainOf(5), nullptr);
   EXPECT_TRUE(store.ChainOf(5)->front().tombstone);
+  EXPECT_EQ(store.ChainOf(5)->front().ppa, nand::kInvalidPpa);
   EXPECT_TRUE(rel.pages.empty());
 }
 
@@ -212,16 +181,17 @@ TEST(VersionStoreFtlTest, AgedBackupOfProtectedLbaIsArchivedNotFreed) {
   EXPECT_EQ(ftl.ArchivedPageCount(), 1u);
   EXPECT_EQ(ftl.RetainedPageCount(), 0u);
   EXPECT_EQ(ftl.Store().VersionCount(), 1u);
-  EXPECT_EQ(ftl.Store().ObjectCount(), 1u);
+  EXPECT_EQ(ftl.Store().PageCount(), 1u);
   EXPECT_EQ(ftl.Stats().archived_versions, 1u);
 
-  auto ppa = ftl.Store().ObjectPpa(version::HashPayload(100, {}));
-  ASSERT_TRUE(ppa.has_value());
-  EXPECT_EQ(ftl.StateOf(*ppa), PageState::kArchived);
+  ASSERT_NE(ftl.Store().ChainOf(3), nullptr);
+  const nand::Ppa ppa = ftl.Store().ChainOf(3)->front().ppa;
+  EXPECT_EQ(ftl.StateOf(ppa), PageState::kArchived);
+  EXPECT_EQ(ftl.Nand().PeekPage(ppa)->stamp, 100u);
   EXPECT_EQ(ftl.CheckInvariants(), "");
 }
 
-TEST(VersionStoreFtlTest, IdenticalContentAcrossLbasIsStoredOnce) {
+TEST(VersionStoreFtlTest, IdenticalContentAcrossLbasPinsOnePagePerVersion) {
   PageFtl ftl(ProtectedConfig(0, 64, 8, Seconds(300)));
   ASSERT_TRUE(ftl.WritePage(1, {42, {}}, Seconds(1)).ok());
   ASSERT_TRUE(ftl.WritePage(2, {42, {}}, Seconds(1)).ok());
@@ -230,10 +200,20 @@ TEST(VersionStoreFtlTest, IdenticalContentAcrossLbasIsStoredOnce) {
 
   ftl.ReleaseExpired(Seconds(20));
   EXPECT_EQ(ftl.Store().VersionCount(), 2u);
-  EXPECT_EQ(ftl.Store().ObjectCount(), 1u);
-  EXPECT_EQ(ftl.ArchivedPageCount(), 1u);
-  EXPECT_EQ(ftl.Stats().archive_dedupe_hits, 1u);
-  EXPECT_EQ(ftl.Store().RefcountOf(version::HashPayload(42, {})), 2u);
+  EXPECT_EQ(ftl.Store().PageCount(), 2u);
+  EXPECT_EQ(ftl.ArchivedPageCount(), 2u);
+  ASSERT_NE(ftl.Store().ChainOf(1), nullptr);
+  ASSERT_NE(ftl.Store().ChainOf(2), nullptr);
+  const nand::Ppa p1 = ftl.Store().ChainOf(1)->front().ppa;
+  const nand::Ppa p2 = ftl.Store().ChainOf(2)->front().ppa;
+  EXPECT_NE(p1, p2);
+  EXPECT_EQ(ftl.StateOf(p1), PageState::kArchived);
+  EXPECT_EQ(ftl.StateOf(p2), PageState::kArchived);
+  // Two pages pinned, two 17-B records in DRAM.
+  const std::uint64_t page_size = ftl.Config().geometry.page_size;
+  EXPECT_EQ(ftl.Store().StoreBytes(page_size), 2 * page_size);
+  EXPECT_EQ(ftl.Store().DramBytes(),
+            2 * version::VersionStore::kPackedRecordBytes);
   EXPECT_EQ(ftl.CheckInvariants(), "");
 }
 
@@ -292,8 +272,7 @@ TEST(VersionStoreFtlTest, StandardMetricsSnapshotCoversVersioning) {
 
   const std::string json = registry.SnapshotJson();
   for (const char* name :
-       {"version.archived_total", "version.dedupe_hits", "version.store_bytes",
-        "version.dram_bytes", "version.store_objects",
+       {"version.archived_total", "version.store_bytes", "version.dram_bytes",
         "version.versions_retained", "version.range0_versions",
         "version.restore_age_us"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
