@@ -47,14 +47,13 @@ std::size_t FirmwareScheduler::RunUntil(SimTime now) {
   std::size_t runs = 0;
   while (!heap_.empty()) {
     HeapEntry top = heap_.top();
-    auto it = tasks_.find(top.id);
-    // Cancelled task or superseded due time: drop the stale entry.
-    if (it == tasks_.end() || it->second.due != top.due) {
-      heap_.pop();
-      continue;
-    }
+    // Nothing in the heap is due yet. A stale entry at the top stays until
+    // it comes due; it hides nothing, since every live entry is as late.
     if (top.due > now) break;
+    auto it = tasks_.find(top.id);
     heap_.pop();
+    // Cancelled task or superseded due time: drop the stale entry.
+    if (it == tasks_.end() || it->second.due != top.due) continue;
     obs::EmitInstant(tracer_, it->second.name.c_str(), "fw", 0, top.due,
                      static_cast<std::int64_t>(top.id), "task");
     // Run at the task's own due time, not the drain horizon: a periodic

@@ -1,5 +1,6 @@
 #include "io/io_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -33,6 +34,7 @@ IoEngine::IoEngine(DeviceTarget& device, const EngineConfig& config)
     pairs_.emplace_back(static_cast<QueueId>(i), qc);
   }
   in_flight_per_pair_.assign(config.queue_count, 0);
+  ready_pos_.assign(config.queue_count, kNotReady);
 }
 
 std::size_t IoEngine::Outstanding(QueueId q) const {
@@ -40,9 +42,84 @@ std::size_t IoEngine::Outstanding(QueueId q) const {
          pairs_[q].cq().Size();
 }
 
+bool IoEngine::CqBlocked(QueueId q) const {
+  return pairs_[q].cq().Size() + in_flight_per_pair_[q] >=
+         pairs_[q].cq().Capacity();
+}
+
+void IoEngine::ReadyPlace(std::size_t i, const ReadyEntry& entry) {
+  ready_[i] = entry;
+  ready_pos_[entry.queue] = i;
+}
+
+std::size_t IoEngine::ReadySiftUp(std::size_t i) {
+  const ReadyEntry entry = ready_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(entry < ready_[parent])) break;
+    ReadyPlace(i, ready_[parent]);
+    i = parent;
+  }
+  ReadyPlace(i, entry);
+  return i;
+}
+
+std::size_t IoEngine::ReadySiftDown(std::size_t i) {
+  const ReadyEntry entry = ready_[i];
+  const std::size_t n = ready_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && ready_[child + 1] < ready_[child]) ++child;
+    if (!(ready_[child] < entry)) break;
+    ReadyPlace(i, ready_[child]);
+    i = child;
+  }
+  ReadyPlace(i, entry);
+  return i;
+}
+
+void IoEngine::ReadyInsert(QueueId q) {
+  assert(ready_pos_[q] == kNotReady);
+  ready_.push_back({pairs_[q].sq().Peek()->request.time, q});
+  ReadySiftUp(ready_.size() - 1);
+}
+
+void IoEngine::ReadyErase(QueueId q) {
+  const std::size_t i = ready_pos_[q];
+  assert(i != kNotReady);
+  ready_pos_[q] = kNotReady;
+  const ReadyEntry last = ready_.back();
+  ready_.pop_back();
+  if (i == ready_.size()) return;
+  ReadyPlace(i, last);
+  ReadySiftDown(ReadySiftUp(i));
+}
+
+void IoEngine::CollectTied(SimTime limit) {
+  // Every heap entry at or below `limit` has all its ancestors at or below
+  // it too, so a breadth-first walk from the root that stops at larger
+  // entries finds exactly the tied set. The walk queues heap indices in
+  // candidates_ and then rewrites them as queue ids.
+  std::vector<std::size_t>& tied = candidates_;
+  tied.assign(1, 0);
+  std::uint64_t visits = 1;
+  for (std::size_t k = 0; k < tied.size(); ++k) {
+    for (std::size_t child = 2 * tied[k] + 1;
+         child <= 2 * tied[k] + 2 && child < ready_.size(); ++child) {
+      ++visits;
+      if (ready_[child].head <= limit) tied.push_back(child);
+    }
+  }
+  stats_.pair_visits += visits;
+  for (std::size_t& entry : tied) entry = ready_[entry].queue;
+  std::sort(tied.begin(), tied.end());  // the arbiter wants queue order
+}
+
 bool IoEngine::TrySubmit(QueueId q, const IoRequest& request,
                          std::uint64_t stamp_base, std::uint64_t auth_key) {
   assert(q < pairs_.size());
+  ++stats_.submit_calls;
   QueuePair& pair = pairs_[q];
   if (Outstanding(q) >= pair.sq().Capacity()) {
     ++pair.stats().rejected;
@@ -60,9 +137,18 @@ bool IoEngine::TrySubmit(QueueId q, const IoRequest& request,
   cmd.stamp_base = stamp_base;
   cmd.auth_key = auth_key;
   cmd.trace = cmd.id;
+  const bool had_head = !pair.sq().Empty();
   bool pushed = pair.sq().TryPush(cmd);
   assert(pushed);  // outstanding < sq_depth implies ring room
   (void)pushed;
+  // A new head makes the pair ready, or CQ-blocked with no slot left.
+  if (!had_head) {
+    if (CqBlocked(q)) {
+      ++cq_blocked_;
+    } else {
+      ReadyInsert(q);
+    }
+  }
   ++next_id_;
   ++pair.stats().submitted;
   {
@@ -71,6 +157,12 @@ bool IoEngine::TrySubmit(QueueId q, const IoRequest& request,
                      static_cast<std::int64_t>(request.lba), "lba");
   }
   return true;
+}
+
+void IoEngine::ChargeRejections(QueueId q, std::uint64_t n) {
+  assert(q < pairs_.size());
+  pairs_[q].stats().rejected += n;
+  stats_.sq_rejections += n;
 }
 
 void IoEngine::AttachObs(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
@@ -87,111 +179,133 @@ void IoEngine::AttachObs(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
 
 std::optional<Completion> IoEngine::PopCompletion(QueueId q) {
   assert(q < pairs_.size());
-  std::optional<Completion> c = pairs_[q].cq().TryPop();
-  if (c) ++pairs_[q].stats().reaped;
+  QueuePair& pair = pairs_[q];
+  const bool was_blocked = !pair.sq().Empty() && CqBlocked(q);
+  std::optional<Completion> c = pair.cq().TryPop();
+  if (!c) return c;
+  ++pair.stats().reaped;
+  // A freed completion slot is the only thing that unblocks a pair.
+  if (was_blocked && !CqBlocked(q)) {
+    --cq_blocked_;
+    ReadyInsert(q);
+  }
   return c;
 }
 
 bool IoEngine::Step() {
-  // Dispatch-eligible pairs: a queued command, and guaranteed room to post
-  // its completion later (in-flight commands reserve completion slots).
-  std::vector<std::size_t>& eligible = eligible_;
-  eligible.clear();
-  SimTime earliest_dispatch = std::numeric_limits<SimTime>::max();
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    const QueuePair& pair = pairs_[i];
-    if (pair.sq().Empty()) continue;
-    if (pair.cq().Size() + in_flight_per_pair_[i] >= pair.cq().Capacity()) {
-      ++stats_.cq_stalls;
-      continue;
-    }
-    eligible.push_back(i);
-    SimTime head = pair.sq().Peek()->request.time;
-    SimTime effective = head > clock_ ? head : clock_;
-    if (effective < earliest_dispatch) earliest_dispatch = effective;
-  }
+  posted_.reset();
+  // Every pair with a queued command but no completion slot sits this
+  // event out.
+  stats_.cq_stalls += cq_blocked_;
 
-  bool can_dispatch = !eligible.empty();
-  bool can_complete = !in_flight_.empty();
+  const bool can_dispatch = !ready_.empty();
+  const bool can_complete = !in_flight_.empty();
   if (!can_dispatch && !can_complete) return false;
+
+  // The earliest effective dispatch time: the smallest head, clamped to
+  // the clock (a head whose submit time has passed dispatches now).
+  SimTime earliest_dispatch = std::numeric_limits<SimTime>::max();
+  if (can_dispatch) {
+    earliest_dispatch =
+        ready_.front().head > clock_ ? ready_.front().head : clock_;
+  }
 
   // Process whichever event comes first in virtual time; completions win
   // ties so a freed slot is visible to the tick that needs it.
-  bool complete_first =
+  const bool complete_first =
       can_complete &&
-      (!can_dispatch ||
-       in_flight_.top().completion.complete_time <= earliest_dispatch);
+      (!can_dispatch || in_flight_.top().complete_time <= earliest_dispatch);
 
   // The gap up to the next event is firmware time: let the device run its
   // scheduled background work (GC, housekeeping ticks) before the event.
   // Firmware only touches device internals, never the engine's queues, so
-  // the eligibility computed above stays valid.
-  device_.RunBackgroundUntil(complete_first
-                                 ? in_flight_.top().completion.complete_time
-                                 : earliest_dispatch);
+  // the ready heap stays valid.
+  device_.RunBackgroundUntil(complete_first ? in_flight_.top().complete_time
+                                            : earliest_dispatch);
 
   if (complete_first) {
-    Completion completion = in_flight_.top().completion;
-    in_flight_.pop();
-    if (completion.complete_time > clock_) clock_ = completion.complete_time;
+    if (can_dispatch) ++stats_.pair_visits;  // the heap top lost the race
+    PostNextCompletion();
+  } else {
+    DispatchHead(earliest_dispatch);
+  }
+  return true;
+}
 
-    // Bounded transparent retry: a failed read may succeed on a re-drive
-    // (soft-decode over a marginal page). The retry bypasses the device's
-    // host-traffic side effects (detector observation) and keeps the
-    // command in flight; only the final outcome posts to the host.
-    if (!completion.ok && completion.status == DeviceStatus::kReadError &&
-        completion.request.mode == IoMode::kRead &&
-        completion.retries < max_read_retries_) {
-      IoRequest retry = completion.request;
-      retry.time = completion.complete_time;
-      obs::Tracer::TraceScope scope(tracer_, completion.trace);
-      obs::EmitInstant(tracer_, "engine.read_retry", "engine",
-                       completion.queue, completion.complete_time,
-                       static_cast<std::int64_t>(completion.retries + 1),
-                       "attempt");
-      DispatchResult result = device_.Redrive(retry, 0);
-      completion.ok = result.ok;
-      completion.status = result.status;
-      completion.complete_time =
-          result.complete_time > completion.complete_time
-              ? result.complete_time
-              : completion.complete_time;
-      ++completion.retries;
-      ++stats_.read_retries;
-      in_flight_.push(InFlightEntry{completion});
-      return true;
-    }
+void IoEngine::PostNextCompletion() {
+  const InFlightKey key = in_flight_.top();
+  in_flight_.pop();
+  Completion& completion = slots_[key.slot];
+  if (completion.complete_time > clock_) clock_ = completion.complete_time;
 
-    --in_flight_per_pair_[completion.queue];
-    if (metrics_ != nullptr) {
-      queue_wait_hist_->Add(static_cast<double>(completion.QueueDelay()));
-      device_hist_->Add(static_cast<double>(completion.complete_time -
-                                            completion.dispatch_time));
-      latency_hist_->Add(static_cast<double>(completion.Latency()));
-    }
-    bool pushed = pairs_[completion.queue].cq().TryPush(completion);
-    assert(pushed);  // slot reserved at dispatch
-    (void)pushed;
-    if (completion.ok) {
-      ++stats_.completed_ok;
-    } else {
-      ++stats_.completed_error;
-    }
-    return true;
+  // Bounded transparent retry: a failed read may succeed on a re-drive
+  // (soft-decode over a marginal page). The retry bypasses the device's
+  // host-traffic side effects (detector observation) and keeps the
+  // command in flight; only the final outcome posts to the host.
+  if (!completion.ok && completion.status == DeviceStatus::kReadError &&
+      completion.request.mode == IoMode::kRead &&
+      completion.retries < max_read_retries_) {
+    IoRequest retry = completion.request;
+    retry.time = completion.complete_time;
+    obs::Tracer::TraceScope scope(tracer_, completion.trace);
+    obs::EmitInstant(tracer_, "engine.read_retry", "engine", completion.queue,
+                     completion.complete_time,
+                     static_cast<std::int64_t>(completion.retries + 1),
+                     "attempt");
+    DispatchResult result = device_.Redrive(retry, 0);
+    completion.ok = result.ok;
+    completion.status = result.status;
+    completion.complete_time = result.complete_time > completion.complete_time
+                                   ? result.complete_time
+                                   : completion.complete_time;
+    ++completion.retries;
+    ++stats_.read_retries;
+    in_flight_.push({completion.complete_time, completion.id, key.slot});
+    return;
   }
 
-  // Dispatch: heads tied at the earliest effective time compete; the
-  // arbiter picks the winner.
-  std::vector<std::size_t>& candidates = candidates_;
-  candidates.clear();
-  for (std::size_t i : eligible) {
-    SimTime head = pairs_[i].sq().Peek()->request.time;
-    SimTime effective = head > clock_ ? head : clock_;
-    if (effective == earliest_dispatch) candidates.push_back(i);
+  // Posting moves a reserved slot from in-flight to the ring, so the pair's
+  // eligibility does not change.
+  const QueueId q = completion.queue;
+  --in_flight_per_pair_[q];
+  if (metrics_ != nullptr) {
+    queue_wait_hist_->Add(static_cast<double>(completion.QueueDelay()));
+    device_hist_->Add(static_cast<double>(completion.complete_time -
+                                          completion.dispatch_time));
+    latency_hist_->Add(static_cast<double>(completion.Latency()));
   }
-  std::size_t chosen = arbiter_.Pick(candidates);
+  if (completion.ok) {
+    ++stats_.completed_ok;
+  } else {
+    ++stats_.completed_error;
+  }
+  bool pushed = pairs_[q].cq().TryPush(completion);
+  assert(pushed);  // slot reserved at dispatch
+  (void)pushed;
+  free_slots_.push_back(key.slot);
+  posted_ = q;
+}
+
+void IoEngine::DispatchHead(SimTime earliest_dispatch) {
+  // Heads tied at the earliest effective time compete; the arbiter picks
+  // the winner.
+  CollectTied(earliest_dispatch);
+  const auto chosen = static_cast<QueueId>(arbiter_.Pick(candidates_));
   QueuePair& pair = pairs_[chosen];
   Command cmd = *pair.sq().TryPop();
+  ++in_flight_per_pair_[chosen];
+  // The pair leaves the heap when its SQ empties or its last completion
+  // slot is now reserved; otherwise its next head re-keys it.
+  if (pair.sq().Empty()) {
+    ReadyErase(chosen);
+  } else if (CqBlocked(chosen)) {
+    ReadyErase(chosen);
+    ++cq_blocked_;
+  } else {
+    const std::size_t i = ready_pos_[chosen];
+    ready_[i].head = pair.sq().Peek()->request.time;
+    ReadySiftDown(ReadySiftUp(i));
+  }
 
   if (earliest_dispatch > clock_) clock_ = earliest_dispatch;
   // The device executes the command when it leaves the submission queue,
@@ -206,7 +320,7 @@ bool IoEngine::Step() {
                 static_cast<std::int64_t>(cmd.request.lba), "lba");
   obs::EmitInstant(tracer_, "engine.arbitration", "engine", cmd.queue,
                    earliest_dispatch,
-                   static_cast<std::int64_t>(candidates.size()),
+                   static_cast<std::int64_t>(candidates_.size()),
                    "candidates");
 
   // Access control happens here, between arbitration and the device: lock
@@ -254,14 +368,20 @@ bool IoEngine::Step() {
   obs::EmitSpan(tracer_, "engine.device", "engine", cmd.queue,
                 earliest_dispatch, completion.complete_time,
                 static_cast<std::int64_t>(cmd.request.lba), "lba");
-  in_flight_.push(InFlightEntry{completion});
-  ++in_flight_per_pair_[chosen];
+  auto slot = static_cast<std::uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.push_back(completion);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = completion;
+  }
+  in_flight_.push({completion.complete_time, completion.id, slot});
   if (in_flight_.size() > stats_.max_in_flight) {
     stats_.max_in_flight = in_flight_.size();
   }
   ++pair.stats().dispatched;
   ++stats_.dispatched;
-  return true;
 }
 
 std::size_t IoEngine::Drain() {

@@ -16,16 +16,31 @@
 //     is what pushes it out) is posted to the pair's completion ring at its
 //     completion time.
 //
+// Both event sources are indexed, so an event costs O(log pairs +
+// log in-flight) rather than a scan of every pair:
+//   * dispatch-eligible pairs (a queued command, room to post its
+//     completion) sit in an indexed min-heap keyed by (head submit time,
+//     queue id). Eligibility changes in exactly three places — TrySubmit
+//     giving an empty SQ a head, dispatch popping a head, PopCompletion
+//     freeing a completion slot — and the heap is updated there. The tied
+//     candidates of a dispatch are the heap prefix at or below
+//     max(top, clock), handed to the arbiter in queue-id order;
+//   * in-flight commands sit in a min-heap of {complete_time, id, slot}
+//     keys; the Completion records stay put in a slot array.
+//
 // Dispatch does NOT wait for outstanding commands: the device pipelines
 // internally (chip/channel busy-until), so queue depth and queue count
 // govern how much of the array's parallelism the hosts can actually use —
 // the property the mqueue_throughput bench measures.
 //
 // Backpressure, both directions:
-//   * submission side — a pair at its outstanding limit rejects TrySubmit;
+//   * submission side — a pair at its outstanding limit rejects TrySubmit.
+//     A host that knows a pair is still full may skip the doomed calls and
+//     charge them afterwards with ChargeRejections();
 //   * completion side — a pair whose completion ring cannot absorb another
 //     completion is skipped by dispatch (device-side stall) until the host
-//     reaps.
+//     reaps. Such pairs are counted as they block and unblock, and every
+//     Step() adds that count to cq_stalls.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +83,11 @@ struct EngineStats {
   std::uint64_t read_retries = 0;   ///< transparent read re-drives
   std::uint64_t lock_admin_ops = 0;   ///< range lock/unlock commands handled
   std::uint64_t lock_rejections = 0;  ///< writes/trims bounced off a lock
+  /// Work counters (deterministic, machine-independent): every TrySubmit
+  /// call, accepted or not, and every ready pair whose head an event's
+  /// arbitration examined.
+  std::uint64_t submit_calls = 0;
+  std::uint64_t pair_visits = 0;
 };
 
 class IoEngine {
@@ -88,6 +108,12 @@ class IoEngine {
   [[nodiscard]] bool TrySubmit(QueueId q, const IoRequest& request,
                  std::uint64_t stamp_base = 0, std::uint64_t auth_key = 0);
 
+  /// Host side: count `n` submissions to pair `q` that the host knows would
+  /// have been refused (it never made them because the pair stayed full).
+  /// Adds `n` to the pair's `rejected` and to `sq_rejections`, exactly as
+  /// `n` refused TrySubmit calls would have.
+  void ChargeRejections(QueueId q, std::uint64_t n);
+
   /// Host side: reap the oldest posted completion of a pair, if any.
   std::optional<Completion> PopCompletion(QueueId q);
 
@@ -104,6 +130,11 @@ class IoEngine {
   /// nothing can happen: no command in flight and every submission queue is
   /// empty or blocked on a full completion ring.
   bool Step();
+
+  /// The pair the last Step() posted a completion to; nullopt when that
+  /// Step dispatched, re-drove a read or did nothing. A host that reaps
+  /// after every Step needs to look at this pair only.
+  std::optional<QueueId> PostedQueue() const { return posted_; }
 
   /// Step until no further progress is possible. Returns the number of
   /// commands *dispatched*. With hosts not reaping, this stops once
@@ -128,28 +159,63 @@ class IoEngine {
   void AttachLockTable(version::RangeLockTable* locks) { locks_ = locks; }
 
  private:
-  struct InFlightEntry {
-    Completion completion;
-    bool operator>(const InFlightEntry& other) const {
-      if (completion.complete_time != other.completion.complete_time) {
-        return completion.complete_time > other.completion.complete_time;
-      }
-      return completion.id > other.completion.id;  // deterministic ties
+  /// A ready pair's place in the dispatch heap: its head's submit time,
+  /// cached so sifts never touch the ring.
+  struct ReadyEntry {
+    SimTime head = 0;
+    QueueId queue = 0;
+    bool operator<(const ReadyEntry& other) const {
+      return head != other.head ? head < other.head : queue < other.queue;
     }
   };
+  /// An in-flight command's place in the completion heap; its Completion
+  /// stays in slots_[slot].
+  struct InFlightKey {
+    SimTime complete_time = 0;
+    CommandId id = 0;
+    std::uint32_t slot = 0;
+    bool operator>(const InFlightKey& other) const {
+      if (complete_time != other.complete_time) {
+        return complete_time > other.complete_time;
+      }
+      return id > other.id;  // deterministic ties
+    }
+  };
+  static constexpr std::size_t kNotReady = ~std::size_t{0};
 
   std::size_t Outstanding(QueueId q) const;
+  /// No room to post one more completion: queued completions plus in-flight
+  /// commands (which reserve their slots) fill the completion ring.
+  bool CqBlocked(QueueId q) const;
+  void ReadyInsert(QueueId q);
+  void ReadyErase(QueueId q);
+  /// Restore heap order around index `i`; each returns the entry's final
+  /// index.
+  std::size_t ReadySiftUp(std::size_t i);
+  std::size_t ReadySiftDown(std::size_t i);
+  void ReadyPlace(std::size_t i, const ReadyEntry& entry);
+  /// Fill candidates_ with every ready pair whose head is at or below
+  /// `limit`, in queue-id order.
+  void CollectTied(SimTime limit);
+  /// The two event kinds of Step(), after it has picked which comes first.
+  void DispatchHead(SimTime earliest_dispatch);
+  void PostNextCompletion();
 
   DeviceTarget& device_;
   std::vector<QueuePair> pairs_;
   QueueArbiter arbiter_;
-  std::priority_queue<InFlightEntry, std::vector<InFlightEntry>,
-                      std::greater<InFlightEntry>>
+  std::vector<ReadyEntry> ready_;         ///< binary min-heap
+  std::vector<std::size_t> ready_pos_;    ///< pair -> heap index, kNotReady
+  std::size_t cq_blocked_ = 0;  ///< pairs with a head but no CQ slot
+  std::priority_queue<InFlightKey, std::vector<InFlightKey>,
+                      std::greater<InFlightKey>>
       in_flight_;
+  std::vector<Completion> slots_;          ///< in-flight records
+  std::vector<std::uint32_t> free_slots_;
   std::vector<std::size_t> in_flight_per_pair_;
-  /// Step()'s per-event scratch lists, kept so dispatch does not allocate.
-  std::vector<std::size_t> eligible_;
+  /// Step()'s tie-candidate list, kept so dispatch does not allocate.
   std::vector<std::size_t> candidates_;
+  std::optional<QueueId> posted_;
   SimTime clock_ = 0;
   EngineStats stats_;
   CommandId next_id_ = 1;

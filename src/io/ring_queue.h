@@ -1,10 +1,11 @@
 // Fixed-capacity single-producer ring buffer backing the submission and
 // completion queues. Capacity is set at construction (the queue's "depth");
 // a full ring rejects pushes, which is exactly the backpressure signal the
-// frontend propagates to hosts.
+// frontend propagates to hosts. A zero-capacity ring is legal and refuses
+// every push; wl::MultiTenantDriver refuses to run on one
+// (kZeroDepthQueue).
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -15,9 +16,7 @@ namespace insider::io {
 template <typename T>
 class RingQueue {
  public:
-  explicit RingQueue(std::size_t capacity) : slots_(capacity) {
-    assert(capacity > 0);
-  }
+  explicit RingQueue(std::size_t capacity) : slots_(capacity) {}
 
   std::size_t Capacity() const { return slots_.size(); }
   std::size_t Size() const { return count_; }
@@ -27,7 +26,9 @@ class RingQueue {
   /// Enqueue; false (and no change) when the ring is full.
   [[nodiscard]] bool TryPush(T value) {
     if (Full()) return false;
-    slots_[(head_ + count_) % slots_.size()] = std::move(value);
+    std::size_t tail = head_ + count_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(value);
     ++count_;
     return true;
   }
@@ -39,7 +40,7 @@ class RingQueue {
   std::optional<T> TryPop() {
     if (Empty()) return std::nullopt;
     T out = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    if (++head_ == slots_.size()) head_ = 0;
     --count_;
     return out;
   }

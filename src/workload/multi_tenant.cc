@@ -1,7 +1,6 @@
 #include "workload/multi_tenant.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <unordered_map>
 
@@ -13,6 +12,8 @@ const char* MultiTenantStatusName(MultiTenantStatus status) {
       return "ok";
     case MultiTenantStatus::kDuplicateNamespace:
       return "duplicate-namespace";
+    case MultiTenantStatus::kZeroDepthQueue:
+      return "zero-depth-queue";
   }
   return "?";
 }
@@ -62,6 +63,15 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
       return report;
     }
   }
+  // A zero-depth ring refuses every submission, so its tenants could never
+  // drain: refuse the run instead of spinning on it.
+  for (std::size_t q = 0; q < queues; ++q) {
+    if (engine.Pair(static_cast<io::QueueId>(q)).sq().Capacity() == 0) {
+      report.status = MultiTenantStatus::kZeroDepthQueue;
+      report.end_time = report.first_submit_time;
+      return report;
+    }
+  }
 
   const std::uint64_t dispatched_before = engine.Stats().dispatched;
 
@@ -82,30 +92,11 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     }
   };
 
-  // A pair's outstanding count falls only when the host reaps one of its
-  // completions; this marks the pairs that may have room again.
-  std::vector<char> pair_reaped(queues, 1);
-  auto reap_queue = [&](std::size_t q) {
-    if (engine.PendingCompletions(static_cast<io::QueueId>(q)) == 0) return;
-    pair_reaped[q] = 1;
-    while (std::optional<io::Completion> c =
-               engine.PopCompletion(static_cast<io::QueueId>(q))) {
-      if (c->complete_time > report.end_time) {
-        report.end_time = c->complete_time;
-      }
-      auto it = tenant_of_ns.find(c->request.nsid);
-      if (it == tenant_of_ns.end()) continue;  // not ours (foreign traffic)
-      record(report.tenants[it->second], *c);
-    }
-  };
-  auto reap_all = [&] {
-    for (std::size_t q = 0; q < queues; ++q) reap_queue(q);
-  };
-
   // Host-phase pick structure: per queue pair, a min-heap over that pair's
   // tenants with requests left, keyed by (next due time, tenant index). The
-  // global pick is the smallest head among the unblocked pairs, so a pick
-  // costs O(pairs + log tenants-per-pair) instead of a scan of every tenant.
+  // global pick is the smallest head among the pairs in the pick, so a pick
+  // costs O(those pairs + log tenants-per-pair) instead of a scan of every
+  // tenant.
   struct Head {
     SimTime time;
     std::size_t tenant;
@@ -124,9 +115,49 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     std::make_heap(heads.begin(), heads.end(), later);
   }
 
+  // Stall accounting. A refused submit blocks its pair: the ring is full,
+  // and it stays full until the host reaps one of the pair's completions.
+  // A stall is one refusal of the pair's head tenant per round (one engine
+  // event) the pair spends full. Rather than retry the doomed submit every
+  // round, the pair records the round it blocked in and is charged those
+  // rounds in one addition when it reaps. The run ends only once every
+  // tenant is drained, so no pair is still blocked then. Stalls touch
+  // nothing but counters, so this leaves the submission order — the only
+  // cross-pair effect — unchanged.
+  std::uint64_t round = 0;
+  // The round each pair blocked in; 0 = not blocked (rounds count from 1).
+  std::vector<std::uint64_t> blocked_since(queues, 0);
+  // Pairs that take part in the next pick: every pair in the first round,
+  // then the pairs that reaped. A pair that reaped nothing is still full.
+  std::vector<std::size_t> pick;
+  for (std::size_t q = 0; q < queues; ++q) {
+    if (!pair_heads[q].empty()) pick.push_back(q);
+  }
+
+  auto reap_queue = [&](std::size_t q) {
+    if (engine.PendingCompletions(static_cast<io::QueueId>(q)) == 0) return;
+    while (std::optional<io::Completion> c =
+               engine.PopCompletion(static_cast<io::QueueId>(q))) {
+      if (c->complete_time > report.end_time) {
+        report.end_time = c->complete_time;
+      }
+      auto it = tenant_of_ns.find(c->request.nsid);
+      if (it == tenant_of_ns.end()) continue;  // not ours (foreign traffic)
+      record(report.tenants[it->second], *c);
+    }
+    if (blocked_since[q] == 0) return;
+    const std::uint64_t missed = round - blocked_since[q];
+    report.tenants[pair_heads[q].front().tenant].stall_events += missed;
+    engine.ChargeRejections(static_cast<io::QueueId>(q), missed);
+    blocked_since[q] = 0;
+    pick.push_back(q);
+  };
+  auto reap_all = [&] {
+    for (std::size_t q = 0; q < queues; ++q) reap_queue(q);
+  };
+
   // Submit the head of pair `q`'s heap, or count its stall and block the
-  // pair for the rest of the round when the ring is full.
-  std::vector<char> pair_blocked(queues, 0);
+  // pair when the ring is full.
   auto submit_head = [&](std::size_t q) {
     std::vector<Head>& heads = pair_heads[q];
     const std::size_t best = heads.front().tenant;
@@ -137,8 +168,8 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     std::uint64_t stamp = tenant.stamp_base + blocks_written[best];
     if (!engine.TrySubmit(static_cast<io::QueueId>(q), req, stamp)) {
       ++r.stall_events;  // host stalls until a completion frees a slot
-      pair_blocked[q] = 1;
-      return false;
+      blocked_since[q] = round;
+      return;
     }
     ++r.submitted;
     if (req.mode == IoMode::kWrite) blocks_written[best] += req.length;
@@ -150,52 +181,49 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
       heads.pop_back();
       --pending_tenants;
     }
-    return true;
   };
 
   for (;;) {
+    ++round;
     // Host phase: submissions flow in global time order — a repeated
     // min-pick across the (already sorted) streams. With tenants sharing a
     // pair this matters: letting one tenant burst its whole backlog into
     // the ring would park far-future commands in front of ring-mates'
     // earlier ones (SQs are FIFO) and manufacture queue wait the device
     // never caused. A full ring stalls the picked tenant and blocks that
-    // pair until the device frees a slot; ties go to the lower index.
-    //
-    // Every pair with requests left ended the previous round full. One that
-    // has reaped nothing since is full still, so its head stalls again
-    // straight away; only pairs that reaped take part in the pick. Stalls
-    // touch nothing but counters, so charging them first leaves the
-    // submission order — the only cross-pair effect — unchanged.
-    for (std::size_t p = 0; p < queues; ++p) {
-      pair_blocked[p] = 0;
-      if (pair_reaped[p] || pair_heads[p].empty()) continue;
-      [[maybe_unused]] const bool submitted = submit_head(p);
-      assert(!submitted && "a pair gains room only by reaping");
-    }
-    std::fill(pair_reaped.begin(), pair_reaped.end(), 0);
-    for (;;) {
-      std::size_t q = queues;
-      for (std::size_t p = 0; p < queues; ++p) {
-        if (pair_blocked[p] || pair_heads[p].empty()) continue;
-        if (q == queues || later(pair_heads[q].front(), pair_heads[p].front())) {
-          q = p;
+    // pair until the device frees a slot; ties go to the lower index. Every
+    // pair leaves the pick blocked or drained.
+    while (!pick.empty()) {
+      std::size_t best = 0;
+      for (std::size_t k = 1; k < pick.size(); ++k) {
+        if (later(pair_heads[pick[best]].front(),
+                  pair_heads[pick[k]].front())) {
+          best = k;
         }
       }
-      if (q == queues) break;
+      const std::size_t q = pick[best];
       submit_head(q);
+      if (blocked_since[q] != 0 || pair_heads[q].empty()) {
+        pick[best] = pick.back();
+        pick.pop_back();
+      }
     }
 
     // Device phase: process one event — a dispatch (arbitrated) or a
-    // completion posting — then reap so stalled tenants can make progress
-    // next round.
+    // completion posting — then reap the pair it posted to, so its stalled
+    // tenants can make progress next round. The first round reaps every
+    // pair: completions posted before the run are waiting there.
     if (!engine.Step()) {
       if (pending_tenants == 0 && engine.InFlight() == 0) break;
       // Stuck on full completion rings: reap and retry.
       reap_all();
       continue;
     }
-    reap_all();
+    if (round == 1) {
+      reap_all();
+    } else if (std::optional<io::QueueId> q = engine.PostedQueue()) {
+      reap_queue(*q);
+    }
   }
 
   reap_all();

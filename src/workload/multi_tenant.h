@@ -11,6 +11,11 @@
 // would, so the in-SSD detector finally sees headers from many "users"
 // mixed at the device, not a pre-merged trace.
 //
+// The host loop is event-driven: after each engine event the driver reaps
+// only the pair the engine posted a completion to, and only pairs that
+// reaped take part in the next pick. A blocked pair's stalls — one per
+// event it sits through full — are charged in one addition when it reaps.
+//
 // Every command carries its tenant's namespace id (TenantSpec::nsid), which
 // is both the completion-attribution key when pairs are shared and the
 // isolation key the device's per-namespace detector pool routes by.
@@ -76,6 +81,9 @@ enum class MultiTenantStatus : std::uint8_t {
   /// Two tenants resolved to the same namespace id: completion attribution
   /// would be ambiguous, so the run refuses before submitting anything.
   kDuplicateNamespace,
+  /// A queue pair has submission depth 0: it refuses every command, so its
+  /// tenants could never drain. The run refuses before submitting anything.
+  kZeroDepthQueue,
 };
 
 const char* MultiTenantStatusName(MultiTenantStatus status);
@@ -106,7 +114,8 @@ class MultiTenantDriver {
 
   /// Play every stream to exhaustion through `engine`, reaping completions
   /// as they post. Returns per-tenant latency/backpressure accounting;
-  /// check `report.status` — a kDuplicateNamespace run submits nothing.
+  /// check `report.status` — a kDuplicateNamespace or kZeroDepthQueue run
+  /// submits nothing.
   MultiTenantReport Run(io::IoEngine& engine);
 
   const std::vector<TenantSpec>& Tenants() const { return tenants_; }

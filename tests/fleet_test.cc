@@ -195,6 +195,14 @@ TEST(FleetTest, RunFleetPopulatesDetectionMatrix) {
   EXPECT_NE(gauges.find("detector.pool.bytes"), gauges.end());
 }
 
+TEST(FleetTest, ZeroQueueDepthIsTypedRefusal) {
+  FleetConfig fc = SmokeFleet();
+  fc.queue_depth = 0;
+  FleetResult r = RunFleet(OwioTree(120.0), fc);
+  EXPECT_EQ(r.status, wl::MultiTenantStatus::kZeroDepthQueue);
+  EXPECT_EQ(r.total_dispatched, 0u);
+}
+
 TEST(FleetTest, BudgetedFleetDegradesButKeepsDetecting) {
   FleetConfig fc = SmokeFleet();
   FleetResult unbounded = RunFleet(OwioTree(120.0), fc);

@@ -52,6 +52,31 @@ TEST(RingQueueTest, PushPopWrapAround) {
   EXPECT_EQ(q.TryPop(), std::nullopt);
 }
 
+TEST(RingQueueTest, WrapsRepeatedlyInFifoOrder) {
+  RingQueue<int> q(3);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 20; ++round) {
+    // Alternate one and two pushes per pop so head and tail cross the
+    // wrap point at every offset.
+    for (int k = 0; k <= round % 2; ++k) {
+      if (q.TryPush(next_in)) ++next_in;
+    }
+    ASSERT_EQ(q.TryPop(), next_out++);
+  }
+  while (std::optional<int> v = q.TryPop()) EXPECT_EQ(*v, next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(RingQueueTest, ZeroCapacityRefusesEverything) {
+  RingQueue<int> q(0);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_TRUE(q.Full());
+  EXPECT_FALSE(q.TryPush(1));
+  EXPECT_EQ(q.Peek(), nullptr);
+  EXPECT_EQ(q.TryPop(), std::nullopt);
+}
+
 TEST(ArbiterTest, RoundRobinRotates) {
   QueueArbiter arb({}, {1, 1, 1});
   std::vector<std::size_t> ready{0, 1, 2};

@@ -214,6 +214,33 @@ TEST(MultiTenantTest, DuplicateNamespaceIsTypedRefusal) {
   }
 }
 
+TEST(MultiTenantTest, ZeroDepthQueueIsTypedRefusal) {
+  // A depth-0 ring refuses every submission, so the tenants could never
+  // drain; the run must refuse up front instead of spinning forever.
+  Ssd ssd(SmallSsd(), SimpleTree());
+  SsdTarget target(ssd);
+  std::vector<wl::TenantSpec> tenants;
+  tenants.push_back(WriterTenant("a", 0, 4, 0, 1000, 100));
+  tenants.push_back(WriterTenant("b", 100, 4, 0, 1000, 100));
+
+  io::EngineConfig ecfg;
+  ecfg.queue_count = 2;
+  ecfg.per_queue = {io::QueueConfig{}, io::QueueConfig{}};
+  ecfg.per_queue[1].sq_depth = 0;
+  io::IoEngine engine(target, ecfg);
+
+  wl::MultiTenantReport report = wl::MultiTenantDriver(tenants).Run(engine);
+  EXPECT_EQ(report.status, wl::MultiTenantStatus::kZeroDepthQueue);
+  EXPECT_STREQ(wl::MultiTenantStatusName(report.status), "zero-depth-queue");
+  EXPECT_EQ(engine.Stats().submit_calls, 0u);
+  EXPECT_EQ(report.total_dispatched, 0u);
+  EXPECT_EQ(report.end_time, report.first_submit_time);
+  for (const wl::TenantResult& t : report.tenants) {
+    EXPECT_EQ(t.submitted, 0u) << t.name;
+    EXPECT_EQ(t.stall_events, 0u) << t.name;
+  }
+}
+
 TEST(MultiTenantTest, SampleRingCapKeepsRunningStatsExact) {
   SsdConfig cfg = SmallSsd();
   cfg.ftl.latency = nand::LatencyModel{};  // nonzero latencies to aggregate
