@@ -27,8 +27,8 @@ int main() {
   print("Table III (this implementation's in-memory footprint)",
         host::ActualDramBudget(d, f));
 
-  // The queue index grows with the device, not with the queue: at paper
-  // scale (512 GiB) its fully materialized worst case dominates the table.
+  // Nothing priced here grows with the device: at paper scale (512 GiB) the
+  // budget is the default device's.
   ftl::FtlConfig paper;
   paper.geometry = nand::Geometry::PaperScale();
   print("Table III (this implementation at paper scale, 512 GiB)",

@@ -23,8 +23,9 @@ namespace insider::common {
 template <typename T>
 class LazyTable {
  public:
-  /// Entries per chunk. 4096 × 8-byte entries = 32 KiB per materialized
-  /// chunk; the chunk directory for a 134 M-entry table is ~256 KiB.
+  /// Entries per chunk. The FTL's tables hold 4-byte page ids (16 KiB per
+  /// materialized chunk) and 1-byte page states (4 KiB); the chunk
+  /// directory for a 134 M-entry table is ~256 KiB.
   static constexpr std::size_t kChunkEntries = 4096;
 
   LazyTable() = default;

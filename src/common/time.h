@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace insider {
 
@@ -46,6 +47,24 @@ constexpr std::int64_t RawMicros(SimTime t) { return t; }
 /// Requires t >= 0 (virtual time never runs negative).
 constexpr std::uint64_t RawMicrosU64(SimTime t) {
   return static_cast<std::uint64_t>(t);
+}
+
+/// `t` packed as a 32-bit offset around `center`: one of the 2^32 times in
+/// [center - 2^31, center + 2^31), or nothing. Packed records store times
+/// this way against a shared 64-bit center (the recovery queue's 12-B
+/// entries). The arithmetic is mod 2^64, so UnpackAround(center,
+/// *PackAround(center, t)) == t for every pair of SimTimes.
+constexpr std::optional<std::uint32_t> PackAround(SimTime center, SimTime t) {
+  const std::uint64_t d = static_cast<std::uint64_t>(t) -
+                          static_cast<std::uint64_t>(center) +
+                          (std::uint64_t{1} << 31);
+  if (d > 0xFFFF'FFFFu) return std::nullopt;
+  return static_cast<std::uint32_t>(d);
+}
+
+constexpr SimTime UnpackAround(SimTime center, std::uint32_t offset) {
+  return static_cast<SimTime>(static_cast<std::uint64_t>(center) + offset -
+                              (std::uint64_t{1} << 31));
 }
 
 /// A monotonically advancing virtual clock. The experiment driver owns one

@@ -32,6 +32,7 @@
 #include "common/lazy_table.h"
 #include "common/time.h"
 #include "ftl/ftl_types.h"
+#include "ftl/page_id_table.h"
 #include "ftl/recovery_queue.h"
 #include "nand/flash_array.h"
 #include "version/version_store.h"
@@ -46,8 +47,8 @@ namespace insider::ftl {
 /// from media block headers after replay.
 struct FtlSnapshot {
   std::uint64_t write_seq = 0;
-  common::LazyTable<nand::Ppa> l2p;
-  common::LazyTable<Lba> p2l;
+  PageIdTable l2p;
+  PageIdTable p2l;
   common::LazyTable<PageState> page_state;
   std::vector<BlockCounters> block_counters;
   RecoveryQueue queue;

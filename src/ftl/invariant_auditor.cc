@@ -158,10 +158,11 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   }
 
   // --- Q1/Q2/Q3: every recovery-queue entry against NAND and the mapping.
-  ftl.queue_.ForEach([&](const BackupEntry& e) {
+  ftl.queue_.ForEachWithId([&](RecoveryQueue::EntryId id,
+                               const BackupEntry& e) {
     if (rec.Full()) return;
-    std::string entry = "queue entry {lba " + Str(e.lba) + ", ppa " +
-                        Str(e.old_ppa) + "}";
+    std::string entry = "queue entry " + Str(id) + " {lba " + Str(e.lba) +
+                        ", ppa " + Str(e.old_ppa) + "}";
     rec.Check(e.old_ppa < geo.TotalPages(), Kind::kDanglingBackup,
               [&](InvariantViolation& v) {
                 v.where = entry;
@@ -183,13 +184,13 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                 v.actual =
                     "page state " + PageStateName(ftl.page_state_.Get(e.old_ppa));
               });
-    rec.Check(ftl.p2l_.Get(e.old_ppa) == e.lba, Kind::kDanglingBackup,
+    rec.Check(ftl.p2l_.Get(e.old_ppa) == id, Kind::kDanglingBackup,
               [&](InvariantViolation& v) {
                 v.where = entry;
-                v.expected = "p2l agrees (lba " + Str(e.lba) + ")";
+                v.expected = "p2l names entry " + Str(id);
                 v.actual = ftl.p2l_.Get(e.old_ppa) == kInvalidLba
                                ? "p2l unmapped"
-                               : "p2l lba " + Str(ftl.p2l_.Get(e.old_ppa));
+                               : "p2l " + Str(ftl.p2l_.Get(e.old_ppa));
               });
     if (data.has_value()) {
       rec.Check(data->oob.lba == e.lba, Kind::kDanglingBackup,
@@ -278,11 +279,13 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
     } else if (st == PageState::kRetained) {
       ++retained_total;
       ++recomputed[bid].retained;
-      rec.Check(ftl.queue_.Guards(ppa), Kind::kDanglingBackup,
-                [&](InvariantViolation& v) {
+      rec.Check(ftl.queue_.Guards(ftl.QueueIdOf(ppa), ppa),
+                Kind::kDanglingBackup, [&](InvariantViolation& v) {
                   v.where = "retained page " + Str(ppa);
-                  v.expected = "a recovery-queue entry guarding it";
-                  v.actual = "no guard (backup lost)";
+                  v.expected = "the recovery-queue entry its p2l names "
+                               "guarding it";
+                  v.actual = "entry " + Str(ftl.p2l_.Get(ppa)) +
+                             " does not (backup lost)";
                 });
     } else if (st == PageState::kArchived) {
       // V1: an archived page is named by exactly one data record, in the

@@ -17,9 +17,9 @@
 //   M3  ∀ p: state[p] = Valid ⇒ p2l[p] ≠ ⊥ ∧ l2p[p2l[p]] = p
 //   Q1  ∀ e ∈ queue: programmed(e.old_ppa) ∧ ¬bad(e.old_ppa)
 //                ∧ oob(e.old_ppa).lba = e.lba
-//   Q2  ∀ e ∈ queue: state[e.old_ppa] = Retained ∧ p2l[e.old_ppa] = e.lba
+//   Q2  ∀ e ∈ queue: state[e.old_ppa] = Retained ∧ p2l[e.old_ppa] = id(e)
 //   Q3  ∀ e ∈ queue: e.written_at > last release horizon (still in-window)
-//   Q4  ∀ p: state[p] = Retained ⇔ some queue entry guards p;
+//   Q4  ∀ p: state[p] = Retained ⇒ the entry p2l[p] names guards p;
 //                |queue| = retained page total
 //   C1  ∀ block b: counters[b].{valid,retained} = |{p ∈ b : state[p] = …}|
 //   C2  Σ_b counters[b].valid = valid_pages ∧ Σ_b counters[b].retained

@@ -145,11 +145,29 @@ void PageFtl::RestoreFromSnapshot(const FtlSnapshot& snap) {
   archived_pages_ = snap.archived_pages;
 }
 
+namespace {
+
+/// `config` with its geometry emptied when `status` rejected it, so no table
+/// or block array is built for a shape the FTL cannot address.
+FtlConfig UsableConfig(FtlConfig config, const nand::GeometryError& status) {
+  if (!status.ok()) {
+    config.geometry = nand::Geometry{.channels = 0,
+                                     .ways = 0,
+                                     .blocks_per_chip = 0,
+                                     .pages_per_block = 0,
+                                     .page_size = config.geometry.page_size};
+  }
+  return config;
+}
+
+}  // namespace
+
 PageFtl::PageFtl(const FtlConfig& config)
-    : config_(config),
-      nand_(config.geometry, config.latency, config.errors,
+    : geometry_error_(nand::ValidateGeometry(config.geometry)),
+      config_(UsableConfig(config, geometry_error_)),
+      nand_(config_.geometry, config.latency, config.errors,
             config.error_seed),
-      queue_(config.geometry.TotalPages(), config.recovery_queue_capacity),
+      queue_(config.recovery_queue_capacity),
       allocation_(MakeAllocationPolicy(config)),
       victim_(MakeVictimPolicy(config)),
       retention_error_(ValidateRetentionConfig(config)),
@@ -169,12 +187,17 @@ PageFtl::PageFtl(const FtlConfig& config)
                       << retention_error_.detail
                       << "); falling back to the 10 s window";
   }
+  if (!geometry_error_.ok()) {
+    INSIDER_LOG_ERROR << "rejected geometry ("
+                      << nand::ToString(geometry_error_.issue) << ": "
+                      << geometry_error_.detail << "); exporting no LBAs";
+  }
   nand_.SetFaultPlan(config_.fault_plan);
   const nand::Geometry& geo = config_.geometry;
   victims_.Reset(static_cast<std::uint32_t>(geo.TotalBlocks()),
                  geo.pages_per_block);
   std::uint64_t reserved_pages = 0;
-  if (config_.checkpoint.enabled) {
+  if (config_.checkpoint.enabled && geometry_error_.ok()) {
     // Reserve the metadata stripe: two checkpoint buffers, then two journal
     // regions, round-robined across chips from the top of each chip's block
     // range (the i-th reserved block is chip i % chips, block index
@@ -209,8 +232,8 @@ PageFtl::PageFtl(const FtlConfig& config)
   exported_lbas_ = static_cast<Lba>(
       static_cast<double>(geo.TotalPages() - reserved_pages) *
       config_.exported_fraction);
-  l2p_.Assign(exported_lbas_, nand::kInvalidPpa);
-  p2l_.Assign(geo.TotalPages(), kInvalidLba);
+  l2p_.Assign(exported_lbas_);
+  p2l_.Assign(geo.TotalPages());
   page_state_.Assign(geo.TotalPages(), PageState::kFree);
   block_counters_.assign(geo.TotalBlocks(), BlockCounters{});
   block_health_.assign(geo.TotalBlocks(), BlockHealth::kHealthy);
@@ -306,15 +329,18 @@ void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
   assert(info.retained > 0);
   --info.retained;
   --retained_pages_;
-  if (!store_.Enabled() || !store_.Protected(entry.lba) ||
-      !ArchiveBackup(entry, now)) {
+  if (store_.Enabled() && store_.Protected(entry.lba) &&
+      ArchiveBackup(entry, now)) {
+    // The page is now an archived version: it stays on NAND, and its P2L
+    // slot trades the entry id for the LBA so GC relocation and the
+    // version-store checks find it.
+    p2l_.Set(entry.old_ppa, entry.lba);
+  } else {
     page_state_.Set(entry.old_ppa, PageState::kInvalid);
     p2l_.Set(entry.old_ppa, kInvalidLba);
   }
-  // Otherwise the page is now an archived version: it stays on NAND with
-  // its p2l tag intact so GC relocation and the rebuild scan keep working on
-  // it. Either way re-key the block once its counters have settled (the
-  // archive path can prune other pages of the same block on the way).
+  // Either way re-key the block once its counters have settled (the archive
+  // path can prune other pages of the same block on the way).
   RefreshVictim(block_id);
 }
 
@@ -436,32 +462,45 @@ void PageFtl::Retire(Lba lba, nand::Ppa old_ppa, SimTime now) {
   ++info.retained;
   --valid_pages_;
   ++retained_pages_;
-  std::optional<BackupEntry> evicted = queue_.Push(lba, old_ppa, now);
-  if (evicted) {
-    ReleaseBackup(*evicted, now);
+  PushBackup(lba, old_ppa, now, now);
+}
+
+void PageFtl::PushBackup(Lba lba, nand::Ppa old_ppa, SimTime displaced_at,
+                         SimTime now) {
+  RecoveryQueue::Pushed pushed = queue_.Push(lba, old_ppa, displaced_at);
+  p2l_.Set(old_ppa, pushed.id);
+  if (queue_.Size() > queue_high_water_) {
+    queue_high_water_ = queue_.Size();
+    if (queue_high_water_gauge_ != nullptr) {
+      queue_high_water_gauge_->Set(static_cast<double>(queue_high_water_));
+    }
+  }
+  if (pushed.evicted) {
+    ReleaseBackup(*pushed.evicted, now);
     ++stats_.queue_evictions;
   }
 }
 
 bool PageFtl::MovePage(nand::Ppa src, nand::Ppa dst) {
   const PageState st = page_state_.Get(src);
-  const Lba lba = p2l_.Get(src);
+  // The LBA, or a retained page's entry id; the destination inherits it.
+  const std::uint64_t tag = p2l_.Get(src);
   BlockCounters& src_info = block_counters_[BlockIdOf(src)];
   BlockCounters& dst_info = block_counters_[BlockIdOf(dst)];
   switch (st) {
     case PageState::kValid:
-      if (lba == kInvalidLba) return false;
-      l2p_.Set(lba, dst);
+      if (tag == kInvalidLba) return false;
+      l2p_.Set(tag, dst);
       --src_info.valid;
       ++dst_info.valid;
       break;
     case PageState::kRetained:
-      if (!queue_.Relocate(src, dst)) return false;
+      if (!queue_.Relocate(QueueIdOf(src), src, dst)) return false;
       --src_info.retained;
       ++dst_info.retained;
       break;
     case PageState::kArchived:
-      if (!store_.Relocate(lba, src, dst)) return false;
+      if (!store_.Relocate(tag, src, dst)) return false;
       --src_info.archived;
       ++dst_info.archived;
       break;
@@ -469,7 +508,7 @@ bool PageFtl::MovePage(nand::Ppa src, nand::Ppa dst) {
       return false;
   }
   page_state_.Set(dst, st);
-  p2l_.Set(dst, lba);
+  p2l_.Set(dst, tag);
   page_state_.Set(src, PageState::kInvalid);
   p2l_.Set(src, kInvalidLba);
   return true;
@@ -488,7 +527,7 @@ std::size_t PageFtl::DropPage(nand::Ppa src) {
       --valid_pages_;
       break;
     case PageState::kRetained:
-      if (queue_.Drop(src)) {
+      if (queue_.Drop(QueueIdOf(src), src)) {
         --info.retained;
         --retained_pages_;
       }
@@ -712,6 +751,13 @@ void PageFtl::AttachObs(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   restore_age_hist_ = metrics == nullptr
                           ? nullptr
                           : &metrics->GetHistogram("version.restore_age_us");
+  queue_high_water_gauge_ =
+      metrics == nullptr
+          ? nullptr
+          : &metrics->GetGauge("ftl.recovery_queue.high_water");
+  if (queue_high_water_gauge_ != nullptr) {
+    queue_high_water_gauge_->Set(static_cast<double>(queue_high_water_));
+  }
   if (store_.Enabled()) {
     store_.AttachMetrics(metrics, config_.geometry.page_size);
   }
@@ -931,8 +977,8 @@ void PageFtl::WipeVolatileState() {
   // (block_health_) and the degraded latch survive — firmware persists them
   // in a reserved flash region — but an alarm's read-only latch does not:
   // the detector re-arms after reboot.
-  l2p_.Assign(exported_lbas_, nand::kInvalidPpa);
-  p2l_.Assign(geo.TotalPages(), kInvalidLba);
+  l2p_.Assign(exported_lbas_);
+  p2l_.Assign(geo.TotalPages());
   page_state_.Assign(geo.TotalPages(), PageState::kFree);
   block_counters_.assign(geo.TotalBlocks(), BlockCounters{});
   for (auto& pool : free_blocks_by_chip_) pool.clear();
@@ -1117,15 +1163,9 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
             });
   for (const QueuedBackup& qb : backups) {
     page_state_.Set(qb.old_ppa, PageState::kRetained);
-    p2l_.Set(qb.old_ppa, qb.lba);
     ++block_counters_[BlockIdOf(qb.old_ppa)].retained;
     ++retained_pages_;
-    std::optional<BackupEntry> evicted =
-        queue_.Push(qb.lba, qb.old_ppa, qb.displaced_at);
-    if (evicted) {
-      ReleaseBackup(*evicted, now);
-      ++stats_.queue_evictions;
-    }
+    PushBackup(qb.lba, qb.old_ppa, qb.displaced_at, now);
     ++report.backups_restored;
   }
 

@@ -48,6 +48,7 @@
 #include "ftl/ftl_types.h"
 #include "ftl/gc_engine.h"
 #include "ftl/mapping_journal.h"
+#include "ftl/page_id_table.h"
 #include "ftl/policy.h"
 #include "ftl/recovery_queue.h"
 #include "nand/flash_array.h"
@@ -240,6 +241,13 @@ class PageFtl {
   const RetentionConfigError& RetentionConfigStatus() const {
     return retention_error_;
   }
+  /// Outcome of nand::ValidateGeometry at construction. On rejection the
+  /// FTL logged the issue, built no table or block array for the shape,
+  /// and exports no LBAs, so every host command is out of range.
+  const nand::GeometryError& GeometryStatus() const { return geometry_error_; }
+  /// Most live recovery-queue entries at any one time since construction
+  /// (the ftl.recovery_queue.high_water gauge).
+  std::size_t RecoveryQueueHighWater() const { return queue_high_water_; }
 
   // Fault / bad-block introspection --------------------------------------
 
@@ -410,6 +418,15 @@ class PageFtl {
   void ReleaseDue(SimTime now);
   void MarkInvalid(nand::Ppa ppa);
   void Retire(Lba lba, nand::Ppa old_ppa, SimTime now);
+  /// Queue a backup of the retained page `old_ppa` displaced at
+  /// `displaced_at`: its P2L slot takes the entry's id, and a backup the
+  /// capacity evicts is released at `now`.
+  void PushBackup(Lba lba, nand::Ppa old_ppa, SimTime displaced_at,
+                  SimTime now);
+  /// The id of the recovery-queue entry a retained page's P2L slot holds.
+  RecoveryQueue::EntryId QueueIdOf(nand::Ppa ppa) const {
+    return static_cast<RecoveryQueue::EntryId>(p2l_.Get(ppa));
+  }
   /// Release one ring backup: archive it into the version store when its
   /// LBA is protected (page becomes kArchived, zero-copy), free it
   /// otherwise. `now` drives the store's inline pruning.
@@ -447,15 +464,21 @@ class PageFtl {
   /// Fault-driven retirement left no room for a write: latch read-only.
   void EnterDegraded();
 
+  /// Why ValidateGeometry rejected config.geometry, if it did (then
+  /// config_ carries an empty geometry instead).
+  nand::GeometryError geometry_error_;
   FtlConfig config_;
   nand::FlashArray nand_;
   Lba exported_lbas_;
 
   // The three capacity-proportional tables are lazily chunked so a
   // paper-scale (512 GB) device costs resident memory proportional to the
-  // LBA/PPA space actually touched, not to TotalPages (~1 GB each dense).
-  common::LazyTable<nand::Ppa> l2p_;
-  common::LazyTable<Lba> p2l_;
+  // LBA/PPA space actually touched, not to TotalPages (512 MiB each dense
+  // at 4 B per id). A page's P2L slot holds its LBA, except a retained
+  // page's, which holds the id of the recovery-queue entry guarding it
+  // (the entry holds the LBA).
+  PageIdTable l2p_;
+  PageIdTable p2l_;
   common::LazyTable<PageState> page_state_;
   /// Greedy victim index over the reclaimable data blocks.
   VictimIndex victims_;
@@ -467,6 +490,7 @@ class PageFtl {
   static constexpr std::uint32_t kNoActiveBlock = PolicyView::kNoActiveBlockId;
 
   RecoveryQueue queue_;
+  std::size_t queue_high_water_ = 0;
   /// Time-ordered record of trims whose tombstone is still the current
   /// mapping; ReleaseExpired unmaps and invalidates the tombstone once the
   /// retention window has passed (bounded by trims-per-window).
@@ -527,6 +551,7 @@ class PageFtl {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::LogHistogram* gc_stall_hist_ = nullptr;
   obs::LogHistogram* restore_age_hist_ = nullptr;
+  obs::Gauge* queue_high_water_gauge_ = nullptr;
 };
 
 }  // namespace insider::ftl

@@ -8,23 +8,37 @@
 // replayed back-to-front to roll the mapping table back, which restores the
 // device to its state of 10 seconds earlier without copying any data.
 //
+// Entries are stored at the paper's Table III width: 12 bytes each (32-bit
+// LBA, 32-bit PPA, 32-bit µs offset around the 64-bit time that opened the
+// chunk holding it), in a ring of fixed-size chunks that grows and shrinks
+// one chunk at a time and never reallocates what it holds. A chunk takes
+// times up to 2^31 µs (~36 min) either side of its opening time, which the
+// live path's GC-advanced clocks never leave; a push whose time does not
+// fit opens a new chunk, so every SimTime comes back exact.
+//
 // GC may relocate a retained page before its entry expires, so the backup
-// must follow the data. Entries sit in a FIFO deque; a lazily chunked
-// per-PPA table holds each guarded page's entry id (no hashing), and an
-// entry id is `head_id_ + offset` into the deque, kept mod 2^32.
+// must follow the data. The queue keeps no per-page index: Push returns the
+// entry's id, the FTL stores it in the retained page's P2L slot, and
+// Guards / Relocate / Drop take that id back and confirm that the entry
+// points at the page. Ids count chunk slots mod 2^32 - 1, so no id is ever
+// all-ones (the empty P2L value); the slots a chunk opened early leaves
+// unused are skipped.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/io.h"
-#include "common/lazy_table.h"
 #include "common/time.h"
+#include "ftl/page_id_table.h"
 #include "nand/geometry.h"
 
 namespace insider::ftl {
 
+/// One backup, unpacked to the FTL's 64-bit widths.
 struct BackupEntry {
   Lba lba = kInvalidLba;
   nand::Ppa old_ppa = nand::kInvalidPpa;
@@ -33,21 +47,22 @@ struct BackupEntry {
 
 class RecoveryQueue {
  public:
-  /// An empty queue that indexes no PPA (a snapshot slot to copy into).
-  RecoveryQueue() = default;
-  /// `ppa_count` sizes the per-PPA id table (the device's TotalPages).
-  /// `capacity` bounds DRAM use (paper Table III sizes it for 30 MB /
-  /// 2,621,440 entries); 0 means unbounded. Ids are 32-bit, so the live
-  /// span of the deque must stay below 2^32 entries.
-  RecoveryQueue(std::size_t ppa_count, std::size_t capacity)
-      : capacity_(capacity), id_of_(ppa_count, kNoId) {}
+  /// Entry ids live in P2L slots, so they are page ids.
+  using EntryId = PageId;
+  /// Entries per chunk: 4096 x 12 B = 48 KiB, below glibc's default mmap
+  /// threshold (128 KiB), so chunks come from the heap's free lists.
+  static constexpr std::uint32_t kChunkEntries = 4096;
 
-  RecoveryQueue(const RecoveryQueue& other)
-      : capacity_(other.capacity_),
-        entries_(other.entries_),
-        id_of_(other.id_of_.Clone()),
-        head_id_(other.head_id_),
-        live_(other.live_) {}
+  struct Pushed {
+    EntryId id = kNoPageId;                ///< goes into the page's P2L slot
+    std::optional<BackupEntry> evicted;    ///< force-released by capacity
+  };
+
+  /// `capacity` bounds DRAM use (paper Table III sizes it for 30 MB /
+  /// 2,621,440 entries); 0 means unbounded.
+  explicit RecoveryQueue(std::size_t capacity = 0) : capacity_(capacity) {}
+
+  RecoveryQueue(const RecoveryQueue& other);
   RecoveryQueue& operator=(const RecoveryQueue& other) {
     if (this != &other) *this = RecoveryQueue(other);
     return *this;
@@ -59,15 +74,16 @@ class RecoveryQueue {
   bool Empty() const { return live_ == 0; }
   std::size_t Capacity() const { return capacity_; }
 
-  /// Append a backup for an overwritten/trimmed LBA. If the queue is at
-  /// capacity the oldest entry is force-released first (returned so the FTL
-  /// can mark its page reclaimable).
-  std::optional<BackupEntry> Push(Lba lba, nand::Ppa old_ppa, SimTime now);
+  /// Append a backup for an overwritten/trimmed LBA; `lba` and `old_ppa`
+  /// must fit a page id. If the queue is at capacity the oldest entry is
+  /// force-released first (returned so the FTL can mark its page
+  /// reclaimable).
+  Pushed Push(Lba lba, nand::Ppa old_ppa, SimTime now);
 
   /// True when ReleaseUpTo(horizon) would pop something (a tombstone
   /// included): the oldest entry was written at or before `horizon`.
   bool DueBy(SimTime horizon) const {
-    return !entries_.empty() && entries_.front().written_at <= horizon;
+    return !chunks_.empty() && TimeOf(*chunks_.front(), head_) <= horizon;
   }
 
   /// Pop every entry with written_at <= horizon, invoking `release` on each.
@@ -86,27 +102,25 @@ class RecoveryQueue {
   /// space pressure and must sacrifice recoverability to accept writes.
   std::optional<BackupEntry> PopOldest();
 
-  /// GC moved a retained page: repoint the backup entry that guards
-  /// `from_ppa` to `to_ppa`. Returns false if no entry guards from_ppa.
-  bool Relocate(nand::Ppa from_ppa, nand::Ppa to_ppa);
+  /// Does entry `id` guard `ppa`? False for an id no live entry has, and
+  /// for an entry that guards another page.
+  bool Guards(EntryId id, nand::Ppa ppa) const {
+    return Find(id, ppa) != nullptr;
+  }
+
+  /// GC moved a retained page: repoint entry `id`, which must guard
+  /// `from_ppa`, to `to_ppa`. The id stays the same. Returns false if the
+  /// entry does not guard from_ppa.
+  bool Relocate(EntryId id, nand::Ppa from_ppa, nand::Ppa to_ppa);
 
   /// The page guarding a backup became unreadable (uncorrectable ECC): the
-  /// backup is lost. Tombstones the entry in place; pops skip tombstones.
-  bool Drop(nand::Ppa ppa);
-
-  /// Is some entry currently guarding this PPA? The id table's answer is
-  /// confirmed against the entry it names, so a table out of step with the
-  /// entries reads as unguarded and the auditor flags the page.
-  bool Guards(nand::Ppa ppa) const { return OffsetOf(ppa).has_value(); }
+  /// backup is lost. Tombstones entry `id` in place if it guards `ppa`;
+  /// pops skip tombstones.
+  bool Drop(EntryId id, nand::Ppa ppa);
 
   /// Discard everything (power loss: the queue lives in DRAM). The rebuild
   /// path reconstructs entries from the OOB flash scan.
-  void Clear() {
-    entries_.clear();
-    id_of_.Assign(id_of_.Size(), kNoId);
-    head_id_ = 0;
-    live_ = 0;
-  }
+  void Clear();
 
   /// Roll back: walk entries newer than `horizon` from the back (newest)
   /// to the front, invoking `revert` on each, then discard them. Entries at
@@ -115,10 +129,9 @@ class RecoveryQueue {
   template <typename Fn>
   std::size_t RollBack(SimTime horizon, Fn&& revert) {
     std::size_t reverted = 0;
-    while (!entries_.empty() && entries_.back().written_at > horizon) {
-      BackupEntry e = entries_.back();
-      Unindex(e);
-      entries_.pop_back();
+    while (!chunks_.empty() &&
+           TimeOf(*chunks_.back(), chunks_.back()->end - 1) > horizon) {
+      BackupEntry e = PopBack();
       if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
       --live_;
       revert(e);
@@ -127,60 +140,89 @@ class RecoveryQueue {
     return reverted;
   }
 
-  /// Iterate live entries oldest-first (for tests and DRAM accounting).
+  /// Iterate live entries oldest-first with their ids (for the auditor).
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const BackupEntry& e : entries_) {
-      if (e.old_ppa != nand::kInvalidPpa) fn(e);
+  void ForEachWithId(Fn&& fn) const {
+    for (std::size_t k = 0; k < chunks_.size(); ++k) {
+      const Chunk& c = *chunks_[k];
+      for (std::uint32_t i = k == 0 ? head_ : 0; i < c.end; ++i) {
+        if (c.slots[i].ppa != kNoPageId) fn(IdAt(k, i), Unpack(c, i));
+      }
     }
   }
 
-  /// Resident heap estimate: the queued entries (tombstones included) plus
-  /// the id table's directory and materialized chunks.
+  /// Iterate live entries oldest-first.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    ForEachWithId([&fn](EntryId, const BackupEntry& e) { fn(e); });
+  }
+
+  /// Resident heap estimate: the chunks held (the spare included) and the
+  /// ring's chunk directory.
   std::uint64_t ResidentBytes() const {
-    return entries_.size() * sizeof(BackupEntry) + id_of_.ResidentBytes();
+    const std::size_t held = chunks_.size() + (spare_ != nullptr ? 1 : 0);
+    return held * sizeof(Chunk) + chunks_.size() * sizeof(chunks_[0]);
   }
 
   /// Bytes of DRAM this structure needs at a given occupancy, using the
   /// paper's 12-byte packed entry layout (4 B LBA + 4 B PPA + 4 B time).
   static constexpr std::size_t PackedEntryBytes() { return 12; }
-  /// Bytes per physical page of the entry-id table.
-  static constexpr std::size_t IndexEntryBytes() { return sizeof(EntryId); }
+  /// Bytes one entry occupies in a chunk.
+  static constexpr std::size_t StoredEntryBytes() { return sizeof(Slot); }
 
  private:
-  using EntryId = std::uint32_t;
-  static constexpr EntryId kNoId = 0xFFFFFFFFu;
+  friend class FtlStateTamperer;  // starts the id counter near the wrap
 
-  /// Deque offset of the entry guarding `ppa`, if any.
-  std::optional<std::size_t> OffsetOf(nand::Ppa ppa) const {
-    if (ppa >= id_of_.Size()) return std::nullopt;
-    const EntryId id = id_of_.Get(ppa);
-    if (id == kNoId) return std::nullopt;
-    const std::size_t offset = static_cast<EntryId>(id - head_id_);
-    if (offset >= entries_.size() || entries_[offset].old_ppa != ppa) {
-      return std::nullopt;
-    }
-    return offset;
+  /// Ids run mod 2^32 - 1, so kNoPageId is never one.
+  static constexpr std::uint64_t kIdModulus = kNoPageId;
+
+  struct Slot {
+    PageId lba;
+    PageId ppa;          ///< kNoPageId marks a dropped entry (tombstone)
+    std::uint32_t time;  ///< written_at, PackAround the chunk's center
+  };
+  static_assert(sizeof(Slot) == 12, "Table III's packed entry width");
+
+  struct Chunk {
+    SimTime center = 0;    ///< the push time that opened the chunk
+    std::uint32_t end = 0; ///< slots [0, end) were pushed
+    Slot slots[kChunkEntries];
+  };
+
+  static SimTime TimeOf(const Chunk& c, std::uint32_t i) {
+    return UnpackAround(c.center, c.slots[i].time);
   }
-  void Unindex(const BackupEntry& e) {
-    if (e.old_ppa != nand::kInvalidPpa) id_of_.Set(e.old_ppa, kNoId);
+  static BackupEntry Unpack(const Chunk& c, std::uint32_t i) {
+    const Slot& s = c.slots[i];
+    return {s.lba, s.ppa == kNoPageId ? nand::kInvalidPpa : s.ppa,
+            TimeOf(c, i)};
   }
-  BackupEntry PopFront() {
-    BackupEntry e = entries_.front();
-    Unindex(e);
-    entries_.pop_front();
-    ++head_id_;
-    return e;
+  /// Id of slot `i` of the `k`-th chunk from the front.
+  EntryId IdAt(std::size_t k, std::uint32_t i) const {
+    return static_cast<EntryId>(
+        (front_id_ + static_cast<std::uint64_t>(k) * kChunkEntries + i) %
+        kIdModulus);
   }
+  /// The live slot entry `id` names when it guards `ppa`, else null.
+  const Slot* Find(EntryId id, nand::Ppa ppa) const;
+  Slot* Find(EntryId id, nand::Ppa ppa) {
+    return const_cast<Slot*>(std::as_const(*this).Find(id, ppa));
+  }
+  /// Append an empty chunk whose offsets cover `now`.
+  void OpenChunk(SimTime now);
+  /// Drop the front chunk once its last slot was popped.
+  void CloseFrontChunk();
+  BackupEntry PopFront();
+  BackupEntry PopBack();
 
   std::size_t capacity_ = 0;
-  std::deque<BackupEntry> entries_;  ///< oldest at front
-  /// PPA -> id of the entry guarding it, kNoId when none. An old PPA
-  /// appears at most once (a physical page holds exactly one displaced
-  /// version).
-  common::LazyTable<EntryId> id_of_;
-  EntryId head_id_ = 0;  ///< id of entries_.front(); wraps mod 2^32
-  std::size_t live_ = 0;  ///< entries_ minus tombstones
+  std::deque<std::unique_ptr<Chunk>> chunks_;  ///< oldest at front
+  /// A closed chunk kept for the next open, so a queue that hovers at a
+  /// chunk boundary does not allocate and free on every push.
+  std::unique_ptr<Chunk> spare_;
+  std::uint32_t head_ = 0;     ///< first unpopped slot of chunks_.front()
+  std::uint64_t front_id_ = 0; ///< id of chunks_.front()'s slot 0, < kIdModulus
+  std::size_t live_ = 0;       ///< pushed, not popped, not dropped
 };
 
 }  // namespace insider::ftl

@@ -3,9 +3,12 @@
 // The seeded-corruption tests must prove the InvariantAuditor *catches* each
 // violation class — an auditor that only ever passes on healthy runs is
 // untestable. This class is the single, explicit backdoor those tests use to
-// plant one inconsistency per class. It is never linked into production
-// paths; nothing in src/ calls it.
+// plant one inconsistency per class, and to reach consistent states only a
+// very long run would (the recovery queue's id counter near its wrap). It
+// is never linked into production paths; nothing in src/ calls it.
 #pragma once
+
+#include <cassert>
 
 #include "ftl/page_ftl.h"
 
@@ -32,6 +35,17 @@ class FtlStateTamperer {
   /// should have been released and must be flagged.
   void FastForwardReleaseHorizon(SimTime horizon) {
     ftl_.last_release_horizon_ = horizon;
+  }
+
+  /// Not a violation: start the recovery queue's entry ids at `id`, so a
+  /// test can push across the id wrap. The queue must be empty.
+  static void StartQueueIdsAt(RecoveryQueue& queue,
+                              RecoveryQueue::EntryId id) {
+    assert(queue.chunks_.empty() && id < RecoveryQueue::kIdModulus);
+    queue.front_id_ = id;
+  }
+  void StartQueueIdsAt(RecoveryQueue::EntryId id) {
+    StartQueueIdsAt(ftl_.queue_, id);
   }
 
   /// Violation class 3 — valid-count drift: skew one block's occupancy

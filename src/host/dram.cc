@@ -22,12 +22,10 @@ std::vector<DramRow> ActualDramBudget(const core::DetectorConfig& detector,
        detector.table.max_hash_keys},
       {"Counting table", core::CountingTable::RunSlotBytes(),
        detector.table.max_entries},
-      {"Recovery queue", sizeof(ftl::BackupEntry),
+      // Entries at their stored width. A guarded page's entry id lives in
+      // its P2L slot, so the queue keeps no per-page index.
+      {"Recovery queue", ftl::RecoveryQueue::StoredEntryBytes(),
        ftl.recovery_queue_capacity},
-      // One entry id per physical page, fully materialized (worst case:
-      // chunks are allocated only where retained pages live).
-      {"Recovery queue index", ftl::RecoveryQueue::IndexEntryBytes(),
-       ftl.geometry.TotalPages()},
   };
 }
 

@@ -115,6 +115,9 @@ enum class GeometryIssue : std::uint8_t {
   kPpaSpaceOverflow,  ///< TotalPages >= 2^63; dense PPA arithmetic unsafe
   kBlockIdOverflow,   ///< TotalBlocks >= 2^32; global block ids are 32-bit
   kCapacityOverflow,  ///< TotalPages * page_size overflows 64 bits
+  /// TotalPages >= 2^32 - 1: the FTL's 32-bit page ids (all-ones = none)
+  /// cannot name every page.
+  kPageIdOverflow,
 };
 
 inline const char* ToString(GeometryIssue issue) {
@@ -124,6 +127,7 @@ inline const char* ToString(GeometryIssue issue) {
     case GeometryIssue::kPpaSpaceOverflow: return "ppa-space-overflow";
     case GeometryIssue::kBlockIdOverflow: return "block-id-overflow";
     case GeometryIssue::kCapacityOverflow: return "capacity-overflow";
+    case GeometryIssue::kPageIdOverflow: return "page-id-overflow";
   }
   return "unknown";
 }
@@ -167,6 +171,11 @@ inline GeometryError ValidateGeometry(const Geometry& g) {
   if (total_pages > ~std::uint64_t{0} / g.page_size) {
     return {GeometryIssue::kCapacityOverflow,
             "CapacityBytes (TotalPages * page_size) overflows 64 bits"};
+  }
+  if (total_pages >= 0xFFFF'FFFFull) {
+    return {GeometryIssue::kPageIdOverflow,
+            "TotalPages must stay below 2^32 - 1: the FTL stores page ids "
+            "in 32 bits with all-ones as the invalid id"};
   }
   return {};
 }

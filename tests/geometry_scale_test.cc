@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/pretrained.h"
+#include "host/ssd.h"
 #include "nand/geometry.h"
 
 namespace insider::nand {
@@ -85,6 +87,61 @@ TEST(GeometryValidationTest, RejectsCapacityByteOverflow) {
   GeometryError err = ValidateGeometry(g);
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.issue, GeometryIssue::kCapacityOverflow);
+}
+
+TEST(GeometryValidationTest, RejectsPageIdsBeyond32Bits) {
+  // The FTL stores page ids in 32 bits with all-ones as "none", so the
+  // largest PPA must be 2^32 - 2: TotalPages = 2^32 - 2 is the largest
+  // accepted device. 2^32 - 2 = 2 x (2^31 - 1).
+  Geometry largest;
+  largest.channels = 1;
+  largest.ways = 2;
+  largest.blocks_per_chip = 1;
+  largest.pages_per_block = 0x7FFF'FFFFu;
+  ASSERT_EQ(largest.TotalPages(), 0xFFFF'FFFEull);
+  EXPECT_TRUE(ValidateGeometry(largest).ok());
+  // 2^32 - 1 = 3 x 5 x (17 x 257) x 65537.
+  Geometry past;
+  past.channels = 3;
+  past.ways = 5;
+  past.blocks_per_chip = 17 * 257;
+  past.pages_per_block = 65537;
+  ASSERT_EQ(past.TotalPages(), 0xFFFF'FFFFull);
+  GeometryError err = ValidateGeometry(past);
+  EXPECT_FALSE(err.ok());
+  EXPECT_EQ(err.issue, GeometryIssue::kPageIdOverflow);
+  EXPECT_STREQ(ToString(err.issue), "page-id-overflow");
+  // A 16 TiB device of 4 KiB pages: 2^32 pages.
+  Geometry sixteen_tib = Geometry::PaperScale();
+  sixteen_tib.blocks_per_chip *= 32;
+  ASSERT_EQ(sixteen_tib.CapacityBytes(), 16ull << 40);
+  EXPECT_EQ(ValidateGeometry(sixteen_tib).issue,
+            GeometryIssue::kPageIdOverflow);
+}
+
+TEST(GeometryValidationTest, FtlRefusesARejectedGeometryWithoutBuildingIt) {
+  // The FTL validates at construction: a 16 TiB device builds no mapping
+  // table or block array and exports no LBAs, so the host's every command
+  // is out of range.
+  host::SsdConfig cfg;
+  cfg.ftl.geometry = Geometry::PaperScale();
+  cfg.ftl.geometry.blocks_per_chip *= 32;
+  cfg.ftl.latency = LatencyModel::Zero();
+  cfg.ftl.checkpoint.enabled = true;
+  host::Ssd ssd(cfg, core::PretrainedTree());
+  const ftl::PageFtl& ftl = ssd.Ftl();
+  EXPECT_EQ(ftl.GeometryStatus().issue, GeometryIssue::kPageIdOverflow);
+  EXPECT_FALSE(ftl.GeometryStatus().detail.empty());
+  EXPECT_EQ(ftl.ExportedLbas(), 0u);
+  EXPECT_EQ(ftl.Config().geometry.TotalPages(), 0u);
+  EXPECT_EQ(ftl.MetadataBlockCount(), 0u);
+  EXPECT_LT(ftl.ResidentBytesEstimate(), 1u << 20);
+  EXPECT_EQ(ssd.Submit({Seconds(1), 0, 1, IoMode::kWrite}, 1),
+            ftl::FtlStatus::kOutOfRange);
+  EXPECT_EQ(ssd.Submit({Seconds(2), 0, 1, IoMode::kRead}, 1),
+            ftl::FtlStatus::kOutOfRange);
+  ssd.DrainFirmware(Seconds(60));  // background work finds nothing to do
+  EXPECT_EQ(ftl.CheckInvariants(), "");
 }
 
 TEST(GeometryScaleTest, DenseStructuredRoundTripAtPaperScaleEdges) {

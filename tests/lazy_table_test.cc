@@ -1,10 +1,12 @@
-// Unit coverage for the chunked LazyTable: L2P/P2L/page-state at 512 GB
-// without gigabytes of resident DRAM.
+// Unit coverage for the chunked LazyTable and the FTL's 32-bit page-id
+// tables built on it: L2P/P2L/page-state at 512 GB without gigabytes of
+// resident DRAM.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "common/lazy_table.h"
+#include "ftl/page_id_table.h"
 
 namespace insider::common {
 namespace {
@@ -58,6 +60,27 @@ TEST(LazyTableTest, PaperScaleDirectoryStaysSmall) {
   LazyTable<std::uint64_t> t(134'217'728, ~std::uint64_t{0});
   EXPECT_EQ(t.Get(134'217'727), ~std::uint64_t{0});
   EXPECT_LT(t.ResidentBytes(), 1u << 20);
+}
+
+TEST(PageIdTableTest, LargestIdRoundTripsAtTheLargestIndex) {
+  // 2^32 - 2 is the largest id a 32-bit slot holds besides "none", and the
+  // largest PPA a device ValidateGeometry accepts can reach.
+  constexpr std::uint64_t kLargest = 0xFFFF'FFFEull;
+  static_assert(kLargest == ftl::kMaxPageId);
+  ftl::PageIdTable t;
+  t.Assign(kLargest + 1);
+  EXPECT_EQ(t.Get(kLargest), ~std::uint64_t{0});
+  t.Set(kLargest, kLargest);
+  t.Set(0, kLargest - 1);
+  EXPECT_EQ(t.Get(kLargest), kLargest);  // not mistaken for "none"
+  EXPECT_EQ(t.Get(kLargest - 1), ~std::uint64_t{0});
+  EXPECT_EQ(t.Get(0), kLargest - 1);
+  const ftl::PageIdTable copy = t.Clone();
+  t.Set(kLargest, ~std::uint64_t{0});  // all-ones clears the slot
+  EXPECT_EQ(t.Get(kLargest), ~std::uint64_t{0});
+  EXPECT_EQ(copy.Get(kLargest), kLargest);
+  // Two chunks of 4-B ids plus the directory.
+  EXPECT_LT(t.ResidentBytes(), (std::uint64_t{1} << 20) * 8 + (64u << 10));
 }
 
 }  // namespace

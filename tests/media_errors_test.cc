@@ -142,34 +142,32 @@ TEST(FtlMediaErrorTest, GcSurvivesLostPages) {
 
 // --- Recovery-queue tombstones ---------------------------------------------
 
-constexpr std::size_t kQueuePpas = 4096;  // id-table size for these tests
-
 TEST(QueueDropTest, DropRemovesGuardAndSize) {
-  ftl::RecoveryQueue q(kQueuePpas, 0);
-  q.Push(1, 100, 1);
+  ftl::RecoveryQueue q(0);
+  const auto id = q.Push(1, 100, 1).id;
   q.Push(2, 101, 2);
-  EXPECT_TRUE(q.Drop(100));
+  EXPECT_TRUE(q.Drop(id, 100));
   EXPECT_EQ(q.Size(), 1u);
-  EXPECT_FALSE(q.Guards(100));
-  EXPECT_FALSE(q.Drop(100));  // already gone
+  EXPECT_FALSE(q.Guards(id, 100));
+  EXPECT_FALSE(q.Drop(id, 100));  // already gone
 }
 
 TEST(QueueDropTest, PopsSkipTombstones) {
-  ftl::RecoveryQueue q(kQueuePpas, 0);
-  q.Push(1, 100, 1);
+  ftl::RecoveryQueue q(0);
+  const auto id = q.Push(1, 100, 1).id;
   q.Push(2, 101, 2);
   q.Push(3, 102, 3);
-  q.Drop(100);
+  q.Drop(id, 100);
   auto e = q.PopOldest();
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->lba, 2u);
 }
 
 TEST(QueueDropTest, RollbackSkipsTombstones) {
-  ftl::RecoveryQueue q(kQueuePpas, 0);
+  ftl::RecoveryQueue q(0);
   q.Push(1, 100, Seconds(20));
-  q.Push(2, 101, Seconds(21));
-  q.Drop(101);
+  const auto id = q.Push(2, 101, Seconds(21)).id;
+  q.Drop(id, 101);
   std::vector<Lba> reverted;
   q.RollBack(Seconds(10),
              [&](const ftl::BackupEntry& e) { reverted.push_back(e.lba); });
@@ -178,10 +176,10 @@ TEST(QueueDropTest, RollbackSkipsTombstones) {
 }
 
 TEST(QueueDropTest, ReleaseSkipsTombstones) {
-  ftl::RecoveryQueue q(kQueuePpas, 0);
-  q.Push(1, 100, 1);
+  ftl::RecoveryQueue q(0);
+  const auto id = q.Push(1, 100, 1).id;
   q.Push(2, 101, 2);
-  q.Drop(100);
+  q.Drop(id, 100);
   std::size_t released = 0;
   q.ReleaseUpTo(10, [&](const ftl::BackupEntry&) { ++released; });
   EXPECT_EQ(released, 1u);
@@ -189,21 +187,21 @@ TEST(QueueDropTest, ReleaseSkipsTombstones) {
 }
 
 TEST(QueueDropTest, CapacityCountsLiveEntriesOnly) {
-  ftl::RecoveryQueue q(kQueuePpas, 2);
-  q.Push(1, 100, 1);
+  ftl::RecoveryQueue q(2);
+  const auto id = q.Push(1, 100, 1).id;
   q.Push(2, 101, 2);
-  q.Drop(100);
+  q.Drop(id, 100);
   // One live entry: pushing doesn't evict the live one.
-  auto evicted = q.Push(3, 102, 3);
+  auto evicted = q.Push(3, 102, 3).evicted;
   EXPECT_FALSE(evicted.has_value());
   EXPECT_EQ(q.Size(), 2u);
 }
 
 TEST(QueueDropTest, RelocateAfterDropFails) {
-  ftl::RecoveryQueue q(kQueuePpas, 0);
-  q.Push(1, 100, 1);
-  q.Drop(100);
-  EXPECT_FALSE(q.Relocate(100, 200));
+  ftl::RecoveryQueue q(0);
+  const auto id = q.Push(1, 100, 1).id;
+  q.Drop(id, 100);
+  EXPECT_FALSE(q.Relocate(id, 100, 200));
 }
 
 }  // namespace

@@ -130,7 +130,8 @@ TEST(FtlFootprintTest, EstimateCountsRecoveryQueue) {
   // alike; only the retained backups tell them apart.
   constexpr Lba kN = 64;
   EXPECT_GE(OverwriteGrowth(true, kN),
-            OverwriteGrowth(false, kN) + kN * sizeof(ftl::BackupEntry));
+            OverwriteGrowth(false, kN) +
+                kN * ftl::RecoveryQueue::StoredEntryBytes());
 }
 
 }  // namespace
