@@ -36,11 +36,10 @@ CheckpointStore::CheckpointStore(nand::FlashArray* nand,
 nand::Ppa CheckpointStore::PpaOfPosition(std::uint32_t buffer,
                                          std::uint32_t position) const {
   const nand::Geometry& geo = nand_->Geo();
-  std::uint64_t block_id = buffers_[buffer][position / geo.pages_per_block];
-  return geo.MakePpa(
-      static_cast<std::uint32_t>(block_id / geo.blocks_per_chip),
-      static_cast<std::uint32_t>(block_id % geo.blocks_per_chip),
-      position % geo.pages_per_block);
+  const nand::BlockAddr addr = nand_->Decoder().AddrOfBlockId(
+      static_cast<std::uint32_t>(
+          buffers_[buffer][position / geo.pages_per_block]));
+  return geo.MakePpa(addr.chip, addr.block, position % geo.pages_per_block);
 }
 
 std::uint32_t CheckpointStore::CapacityPages(std::uint32_t buffer) const {
@@ -56,12 +55,10 @@ bool CheckpointStore::Commit(FtlSnapshot snap, SimTime now, SimTime* complete,
   Slot& slot = slots_[buffer];
   slot.valid = false;  // the erase below invalidates this buffer's media
   SimTime t = now;
-  const nand::Geometry& geo = nand_->Geo();
   for (std::uint64_t block_id : buffers_[buffer]) {
     if (nand_->BlockAt(block_id).IsErased()) continue;
-    nand::BlockAddr addr{
-        static_cast<std::uint32_t>(block_id / geo.blocks_per_chip),
-        static_cast<std::uint32_t>(block_id % geo.blocks_per_chip)};
+    const nand::BlockAddr addr = nand_->Decoder().AddrOfBlockId(
+        static_cast<std::uint32_t>(block_id));
     nand::NandResult r = nand_->EraseMetaBlock(addr, t);
     t = std::max(t, r.complete_time);
     if (!r.ok()) {
@@ -70,8 +67,9 @@ bool CheckpointStore::Commit(FtlSnapshot snap, SimTime now, SimTime* complete,
       return false;
     }
   }
+  const std::uint32_t page_size = nand_->Geo().page_size;
   std::uint32_t body_pages = static_cast<std::uint32_t>(
-      (snap.PackedBytes() + geo.page_size - 1) / geo.page_size);
+      (snap.PackedBytes() + page_size - 1) / page_size);
   std::uint32_t total = body_pages + 2;  // header + footer
   if (total > CapacityPages(buffer)) {
     if (stats != nullptr) ++stats->checkpoint_aborts;

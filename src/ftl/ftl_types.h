@@ -39,6 +39,17 @@ struct FtlResult {
   bool ok() const { return status == FtlStatus::kOk; }
 };
 
+/// Outcome of one multi-page host command (PageFtl::ReadRange /
+/// WriteRange): kOk, or the status of the page that ended the command, and
+/// when the last page that completed before it finished in the NAND array
+/// (the command's start time if none did). Carries no payload.
+struct CommandResult {
+  FtlStatus status = FtlStatus::kOk;
+  SimTime complete_time = 0;
+
+  bool ok() const { return status == FtlStatus::kOk; }
+};
+
 /// Which pluggable victim-selection policy the FTL instantiates (a custom
 /// implementation can also be injected with PageFtl::SetVictimPolicy).
 enum class VictimPolicyKind {

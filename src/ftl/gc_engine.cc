@@ -18,7 +18,7 @@ bool GcEngine::CollectOne(SimTime& now, std::uint32_t max_movable) {
 bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
   PageFtl& f = ftl_;
   const nand::Geometry& geo = f.config_.geometry;
-  nand::BlockAddr addr = f.AddrOfBlockId(block_id);
+  nand::BlockAddr addr = f.nand_.Decoder().AddrOfBlockId(block_id);
   for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
     nand::Ppa src = geo.MakePpa(addr.chip, addr.block, p);
     PageState st = f.page_state_.Get(src);
@@ -68,7 +68,7 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
 bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
   PageFtl& f = ftl_;
   const nand::Geometry& geo = f.config_.geometry;
-  nand::BlockAddr addr = f.AddrOfBlockId(victim);
+  nand::BlockAddr addr = f.nand_.Decoder().AddrOfBlockId(victim);
   if (!EvacuateBlock(victim, now)) return false;
 
   // Erase-intent protocol: an erase destroys OOB history the rebuild scan

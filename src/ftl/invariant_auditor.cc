@@ -17,6 +17,8 @@ const char* ToString(InvariantViolation::Kind kind) {
     case InvariantViolation::Kind::kBadBlockMismatch:
       return "bad-block-mismatch";
     case InvariantViolation::Kind::kStructural: return "structural";
+    case InvariantViolation::Kind::kAllocatorMismatch:
+      return "allocator-mismatch";
     case InvariantViolation::Kind::kVersionStoreMismatch:
       return "version-store-mismatch";
   }
@@ -203,12 +205,14 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   });
 
   // Q3, in-window: the release pass pops from the front while the front is
-  // at or past the horizon, so the queue's *front* entry is always younger
-  // than the largest horizon ever released to. (Deeper entries may be
-  // older — GC can advance one write's clock past the next write's — but
-  // such stragglers release lazily and RollBack, walking newest-first and
-  // stopping at the horizon, never replays them.)
-  bool front_checked = false;
+  // at or past the horizon, so the queue's *front* entry is younger than
+  // the largest horizon ever released to. (Deeper entries may be older —
+  // GC can advance one write's clock past the next write's — but such
+  // stragglers release lazily and RollBack, walking newest-first and
+  // stopping at the horizon, never replays them.) A forced pop since the
+  // last release pass may have uncovered a straggler; the next pass pops
+  // it, so the front is only checked when no forced pop came after one.
+  bool front_checked = ftl.queue_.ForcedSinceRelease();  // nothing to check
   ftl.queue_.ForEach([&](const BackupEntry& e) {
     if (front_checked || rec.Full()) return;
     front_checked = true;
@@ -231,9 +235,8 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   std::vector<BlockCounters> recomputed(geo.TotalBlocks());
   for (nand::Ppa ppa = 0; ppa < geo.TotalPages() && !rec.Full(); ++ppa) {
     PageState st = ftl.page_state_.Get(ppa);
-    std::uint32_t mbid = geo.ChipOf(ppa) * geo.blocks_per_chip +
-                         geo.BlockOf(ppa);
-    if (ftl.nand_.IsMetadataBlock(mbid)) {
+    const std::uint32_t bid = ftl.nand_.Decoder().BlockIdOf(ppa);
+    if (ftl.nand_.IsMetadataBlock(bid)) {
       // Checkpoint/journal pages carry stamps, not host data: the data-path
       // tables must never claim them, whatever the media says.
       rec.Check(st == PageState::kFree && ftl.p2l_.Get(ppa) == kInvalidLba,
@@ -260,8 +263,6 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                   v.actual = "state " + PageStateName(st);
                 });
     }
-    std::uint32_t bid = geo.ChipOf(ppa) * geo.blocks_per_chip +
-                        geo.BlockOf(ppa);
     if (st == PageState::kValid) {
       ++valid_total;
       ++recomputed[bid].valid;
@@ -437,6 +438,18 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
                 });
     }
   }
+  // A1: each chip's cached ready bit is what ChipCanAllocate says now.
+  for (std::uint32_t chip = 0; chip < geo.TotalChips() && !rec.Full();
+       ++chip) {
+    const bool can = ftl.view_.ChipCanAllocate(chip);
+    rec.Check(ftl.view_.ChipReady(chip) == can, Kind::kAllocatorMismatch,
+              [&](InvariantViolation& v) {
+                v.where = "ready bit of chip " + Str(chip);
+                v.expected = can ? "set (frontier room or a pooled block)"
+                                 : "clear (frontier full, pool empty)";
+                v.actual = can ? "clear" : "set";
+              });
+  }
   rec.Check(pool_total == ftl.free_block_count_, Kind::kStructural,
             [&](InvariantViolation& v) {
               v.where = "free block count";
@@ -467,7 +480,7 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   for (std::uint64_t mb : ftl.metadata_blocks_) {
     if (rec.Full()) break;
     std::uint32_t b = static_cast<std::uint32_t>(mb);
-    std::uint32_t chip = b / geo.blocks_per_chip;
+    std::uint32_t chip = ftl.nand_.Decoder().ChipOfBlock(b);
     bool pooled = false;
     for (std::uint32_t fb : ftl.free_blocks_by_chip_[chip]) {
       if (fb == b) pooled = true;
@@ -497,7 +510,7 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
   for (std::uint32_t b = 0; b < geo.TotalBlocks() && !rec.Full(); ++b) {
     if (ftl.nand_.IsMetadataBlock(b)) continue;
     const nand::Block& blk = ftl.nand_.BlockAt(b);
-    const bool eligible = blk.IsFull() && !ftl.IsActiveBlock(b) &&
+    const bool eligible = blk.IsFull() && !ftl.view_.IsActive(b) &&
                           ftl.block_health_[b] == BlockHealth::kHealthy;
     if (eligible) ++eligible_total;
     const std::uint32_t key = eligible ? ftl.block_counters_[b].Movable()

@@ -18,7 +18,8 @@
 //   Q1  ∀ e ∈ queue: programmed(e.old_ppa) ∧ ¬bad(e.old_ppa)
 //                ∧ oob(e.old_ppa).lba = e.lba
 //   Q2  ∀ e ∈ queue: state[e.old_ppa] = Retained ∧ p2l[e.old_ppa] = id(e)
-//   Q3  ∀ e ∈ queue: e.written_at > last release horizon (still in-window)
+//   Q3  front(queue).written_at > last release horizon (still in-window),
+//                unless a forced pop came after the last release pass
 //   Q4  ∀ p: state[p] = Retained ⇒ the entry p2l[p] names guards p;
 //                |queue| = retained page total
 //   C1  ∀ block b: counters[b].{valid,retained} = |{p ∈ b : state[p] = …}|
@@ -35,6 +36,8 @@
 //                ∧ p2l[r.ppa] = lba
 //   V3  ∀ tombstone record r: r.ppa = ⊥
 //   V4  |data records| = archived page total = Σ_b counters[b].archived
+//   A1  ∀ chip c: ready(c) ⇔ (frontier(c) ≠ ⊥ ∧ ¬full(frontier(c)))
+//                ∨ pool(c) ≠ ∅ — the allocator's cached ready bitmap
 //   G2  ∀ data block b: b ∈ victim index ⇔ full(b) ∧ b not a frontier ∧
 //                health[b] = Healthy; a member is keyed by (counters[b]
 //                movable, erase count)
@@ -65,6 +68,8 @@ struct InvariantViolation {
     kBadBlockMismatch, ///< block-health table disagrees with NAND reality
     kStructural,       ///< free-pool / frontier bookkeeping broken
     kVersionStoreMismatch, ///< version store disagrees with page states
+    kAllocatorMismatch,    ///< a chip's ready bit disagrees with its frontier
+                           ///< and free pool
   };
   Kind kind = Kind::kStructural;
   std::string where;     ///< which entity, e.g. "l2p[42]" or "block 3"

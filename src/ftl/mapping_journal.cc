@@ -114,12 +114,10 @@ void MappingJournal::StartEpoch(std::uint64_t epoch, SimTime now,
   pending_.clear();
   durable_.clear();
   SimTime t = now;
-  const nand::Geometry& geo = nand_->Geo();
   for (std::uint64_t block_id : regions_[epoch_ % 2]) {
     if (nand_->BlockAt(block_id).IsErased()) continue;
-    nand::BlockAddr addr{
-        static_cast<std::uint32_t>(block_id / geo.blocks_per_chip),
-        static_cast<std::uint32_t>(block_id % geo.blocks_per_chip)};
+    const nand::BlockAddr addr = nand_->Decoder().AddrOfBlockId(
+        static_cast<std::uint32_t>(block_id));
     nand::NandResult r = nand_->EraseMetaBlock(addr, t);
     t = std::max(t, r.complete_time);
     // An erase fail leaves the block full; Flush() reports overflow when it

@@ -50,13 +50,7 @@ PageFtl::MutationAudit::~MutationAudit() {
 }
 #else
 bool PageFtl::AuditHooksEnabled() { return false; }
-
-PageFtl::MutationAudit::~MutationAudit() { --ftl_.audit_depth_; }
 #endif
-
-PageFtl::JournalBatchScope::~JournalBatchScope() {
-  ftl_.JournalFlushBatches(now_);
-}
 
 void PageFtl::JournalAppend(const JournalRecord& rec) {
   if (!journal_.Enabled() || replaying_) return;
@@ -65,7 +59,6 @@ void PageFtl::JournalAppend(const JournalRecord& rec) {
 }
 
 void PageFtl::JournalFlushBatches(SimTime now) {
-  if (!journal_.Enabled() || replaying_) return;
   if (journal_.PendingCount() < config_.checkpoint.journal_records_per_page) {
     return;  // durability lags at most one page batch behind DRAM
   }
@@ -177,7 +170,8 @@ PageFtl::PageFtl(const FtlConfig& config)
       // store only receives the policy table when the config is sound.
       store_(retention_error_.ok() ? config.range_policies : nullptr),
       view_(config_.geometry, nand_, victims_, block_counters_,
-            active_block_per_chip_, free_blocks_by_chip_, block_health_),
+            active_block_per_chip_, free_blocks_by_chip_, block_health_,
+            ready_chips_),
       gc_(*this) {
   if (!retention_error_.ok()) {
     // A config that would retain nothing defeats the device's whole purpose;
@@ -251,6 +245,7 @@ PageFtl::PageFtl(const FtlConfig& config)
     }
   }
   free_block_count_ = geo.TotalBlocks() - metadata_blocks_.size();
+  RefreshAllChipsReady();
 }
 
 void PageFtl::SetAllocationPolicy(std::unique_ptr<AllocationPolicy> policy) {
@@ -263,14 +258,9 @@ void PageFtl::SetVictimPolicy(std::unique_ptr<VictimPolicy> policy) {
   victim_ = std::move(policy);
 }
 
-bool PageFtl::IsActiveBlock(std::uint32_t block_id) const {
-  std::uint32_t chip = block_id / config_.geometry.blocks_per_chip;
-  return active_block_per_chip_[chip] == block_id;
-}
-
 void PageFtl::RefreshVictim(std::uint32_t block_id) {
   const nand::Block& blk = nand_.BlockAt(block_id);
-  if (blk.IsFull() && !IsActiveBlock(block_id) &&
+  if (blk.IsFull() && !view_.IsActive(block_id) &&
       block_health_[block_id] == BlockHealth::kHealthy &&
       !nand_.IsMetadataBlock(block_id)) {
     victims_.Place(block_id, block_counters_[block_id].Movable(),
@@ -287,14 +277,16 @@ void PageFtl::RebuildVictimIndex() {
   for (std::uint32_t b = 0; b < total; ++b) RefreshVictim(b);
 }
 
-std::uint32_t PageFtl::BlockIdOf(nand::Ppa ppa) const {
-  const nand::Geometry& geo = config_.geometry;
-  return geo.ChipOf(ppa) * geo.blocks_per_chip + geo.BlockOf(ppa);
+void PageFtl::RefreshChipReady(std::uint32_t chip) {
+  std::uint64_t& word = ready_chips_[chip / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (chip % 64);
+  word = view_.ChipCanAllocate(chip) ? (word | bit) : (word & ~bit);
 }
 
-nand::BlockAddr PageFtl::AddrOfBlockId(std::uint32_t block_id) const {
-  const nand::Geometry& geo = config_.geometry;
-  return {block_id / geo.blocks_per_chip, block_id % geo.blocks_per_chip};
+void PageFtl::RefreshAllChipsReady() {
+  const std::uint32_t chips = config_.geometry.TotalChips();
+  ready_chips_.assign((chips + 63) / 64, 0);
+  for (std::uint32_t chip = 0; chip < chips; ++chip) RefreshChipReady(chip);
 }
 
 nand::Ppa PageFtl::AllocatePage() {
@@ -309,22 +301,25 @@ nand::Ppa PageFtl::AllocatePage() {
     active = pool.back();
     pool.pop_back();
     --free_block_count_;
+    // The chip's ready bit stays set: its new frontier has room.
     // The full block just stopped being a frontier: GC may now take it.
     if (closed != kNoActiveBlock) RefreshVictim(closed);
   }
-  nand::BlockAddr addr = AddrOfBlockId(active);
+  nand::BlockAddr addr = nand_.Decoder().AddrOfBlockId(active);
   return geo.MakePpa(addr.chip, addr.block,
                      nand_.BlockAt(active).WritePointer());
 }
 
 void PageFtl::RecycleBlock(std::uint32_t block_id) {
-  free_blocks_by_chip_[AddrOfBlockId(block_id).chip].push_back(block_id);
+  const std::uint32_t chip = nand_.Decoder().ChipOfBlock(block_id);
+  free_blocks_by_chip_[chip].push_back(block_id);
   ++free_block_count_;
+  RefreshChipReady(chip);
 }
 
 void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
   assert(page_state_.Get(entry.old_ppa) == PageState::kRetained);
-  const std::uint32_t block_id = BlockIdOf(entry.old_ppa);
+  const std::uint32_t block_id = nand_.Decoder().BlockIdOf(entry.old_ppa);
   BlockCounters& info = block_counters_[block_id];
   assert(info.retained > 0);
   --info.retained;
@@ -368,7 +363,7 @@ bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
     return false;
   }
   page_state_.Set(entry.old_ppa, PageState::kArchived);
-  ++block_counters_[BlockIdOf(entry.old_ppa)].archived;
+  ++block_counters_[nand_.Decoder().BlockIdOf(entry.old_ppa)].archived;
   ++archived_pages_;
   return true;
 }
@@ -376,7 +371,7 @@ bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
 void PageFtl::ReleaseArchived(nand::Ppa ppa) {
   assert(page_state_.Get(ppa) == PageState::kArchived);
   page_state_.Set(ppa, PageState::kInvalid);
-  const std::uint32_t block_id = BlockIdOf(ppa);
+  const std::uint32_t block_id = nand_.Decoder().BlockIdOf(ppa);
   BlockCounters& info = block_counters_[block_id];
   assert(info.archived > 0);
   --info.archived;
@@ -441,7 +436,7 @@ void PageFtl::ReleaseDue(SimTime now) {
 void PageFtl::MarkInvalid(nand::Ppa ppa) {
   assert(page_state_.Get(ppa) == PageState::kValid);
   page_state_.Set(ppa, PageState::kInvalid);
-  const std::uint32_t block_id = BlockIdOf(ppa);
+  const std::uint32_t block_id = nand_.Decoder().BlockIdOf(ppa);
   BlockCounters& info = block_counters_[block_id];
   assert(info.valid > 0);
   --info.valid;
@@ -457,7 +452,7 @@ void PageFtl::Retire(Lba lba, nand::Ppa old_ppa, SimTime now) {
   }
   assert(page_state_.Get(old_ppa) == PageState::kValid);
   page_state_.Set(old_ppa, PageState::kRetained);
-  BlockCounters& info = block_counters_[BlockIdOf(old_ppa)];
+  BlockCounters& info = block_counters_[nand_.Decoder().BlockIdOf(old_ppa)];
   --info.valid;
   ++info.retained;
   --valid_pages_;
@@ -485,8 +480,8 @@ bool PageFtl::MovePage(nand::Ppa src, nand::Ppa dst) {
   const PageState st = page_state_.Get(src);
   // The LBA, or a retained page's entry id; the destination inherits it.
   const std::uint64_t tag = p2l_.Get(src);
-  BlockCounters& src_info = block_counters_[BlockIdOf(src)];
-  BlockCounters& dst_info = block_counters_[BlockIdOf(dst)];
+  BlockCounters& src_info = block_counters_[nand_.Decoder().BlockIdOf(src)];
+  BlockCounters& dst_info = block_counters_[nand_.Decoder().BlockIdOf(dst)];
   switch (st) {
     case PageState::kValid:
       if (tag == kInvalidLba) return false;
@@ -516,7 +511,7 @@ bool PageFtl::MovePage(nand::Ppa src, nand::Ppa dst) {
 
 std::size_t PageFtl::DropPage(nand::Ppa src) {
   const PageState st = page_state_.Get(src);
-  BlockCounters& info = block_counters_[BlockIdOf(src)];
+  BlockCounters& info = block_counters_[nand_.Decoder().BlockIdOf(src)];
   std::size_t dropped_records = 0;
   switch (st) {
     case PageState::kValid:
@@ -552,13 +547,13 @@ void PageFtl::MapVersion(Lba lba, nand::Ppa ppa, SimTime displaced_at) {
   l2p_.Set(lba, ppa);
   p2l_.Set(ppa, lba);
   page_state_.Set(ppa, PageState::kValid);
-  ++block_counters_[BlockIdOf(ppa)].valid;
+  ++block_counters_[nand_.Decoder().BlockIdOf(ppa)].valid;
   ++valid_pages_;
 }
 
 void PageFtl::ClearRetiredBlock(std::uint32_t block_id) {
   const nand::Geometry& geo = config_.geometry;
-  nand::BlockAddr addr = AddrOfBlockId(block_id);
+  nand::BlockAddr addr = nand_.Decoder().AddrOfBlockId(block_id);
   const nand::Block& blk = nand_.BlockAt(block_id);
   for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
     nand::Ppa ppa = geo.MakePpa(addr.chip, addr.block, p);
@@ -576,6 +571,8 @@ nand::Ppa PageFtl::ProgramWithRedrive(nand::PageView page, SimTime& now) {
     page.oob.seq = ++write_seq_;
     nand::NandResult pr = nand_.ProgramPage(ppa, page, now);
     now = pr.complete_time;
+    // The program (or the page it burned) may have filled the frontier.
+    RefreshChipReady(nand_.Decoder().ChipOf(ppa));
     // The block is its chip's frontier, so it cannot be a GC candidate yet:
     // the victim index picks it up when allocation moves off it.
     if (pr.ok()) return ppa;
@@ -591,7 +588,7 @@ nand::Ppa PageFtl::ProgramWithRedrive(nand::PageView page, SimTime& now) {
     obs::EmitInstant(tracer_, "ftl.redrive", "ftl", 0, now,
                      static_cast<std::int64_t>(ppa), "burned_ppa");
     page_state_.Set(ppa, PageState::kBad);
-    MarkPendingRetire(BlockIdOf(ppa));
+    MarkPendingRetire(nand_.Decoder().BlockIdOf(ppa));
     JournalAppend({JournalOpKind::kBurn, /*flag=*/false, 0, ppa,
                    nand::kInvalidPpa, write_seq_, now, 0});
   }
@@ -602,18 +599,20 @@ void PageFtl::MarkPendingRetire(std::uint32_t block_id) {
   block_health_[block_id] = BlockHealth::kPendingRetire;
   pending_retire_.push_back(block_id);
   ++out_of_service_blocks_;
-  std::uint32_t chip = block_id / config_.geometry.blocks_per_chip;
+  const std::uint32_t chip = nand_.Decoder().ChipOfBlock(block_id);
   if (active_block_per_chip_[chip] == block_id) {
     active_block_per_chip_[chip] = kNoActiveBlock;
+    RefreshChipReady(chip);
   }
   RefreshVictim(block_id);
 }
 
 void PageFtl::RetireBlock(std::uint32_t block_id) {
   ClearRetiredBlock(block_id);  // the caller evacuated its live pages
-  const std::uint32_t chip = AddrOfBlockId(block_id).chip;
+  const std::uint32_t chip = nand_.Decoder().ChipOfBlock(block_id);
   if (active_block_per_chip_[chip] == block_id) {
     active_block_per_chip_[chip] = kNoActiveBlock;
+    RefreshChipReady(chip);
   }
   if (block_health_[block_id] == BlockHealth::kHealthy) {
     ++out_of_service_blocks_;  // direct retirement (erase fault)
@@ -631,9 +630,54 @@ void PageFtl::EnterDegraded() {
   read_only_ = true;
 }
 
-FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
-  if (read_only_) return {FtlStatus::kReadOnly, now, {}};
+CommandResult PageFtl::WriteRange(Lba lba, std::uint32_t count,
+                                  std::uint64_t stamp_base, SimTime now) {
+  assert(InExportedRange(lba, count));
+  CommandResult cmd{FtlStatus::kOk, now};
+  nand::PageView page;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    page.stamp = stamp_base + i;
+    const CommandResult r = WriteStep(lba + i, page, now);
+    if (!r.ok()) return {r.status, cmd.complete_time};
+    cmd.complete_time = std::max(cmd.complete_time, r.complete_time);
+  }
+  return cmd;
+}
+
+CommandResult PageFtl::ReadRange(Lba lba, std::uint32_t count, SimTime now) {
+  assert(InExportedRange(lba, count));
+  CommandResult cmd{FtlStatus::kOk, now};
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const CommandResult r = ReadStep(lba + i, now).result;
+    if (r.ok()) {
+      cmd.complete_time = std::max(cmd.complete_time, r.complete_time);
+    } else if (r.status != FtlStatus::kUnmapped) {
+      return {r.status, cmd.complete_time};
+    }
+  }
+  return cmd;
+}
+
+FtlResult PageFtl::WritePage(Lba lba, const nand::PageView& data,
+                             SimTime now) {
+  // A read-only device answers kReadOnly before the range check.
+  if (!read_only_ && lba >= exported_lbas_) {
+    return {FtlStatus::kOutOfRange, now, {}};
+  }
+  const CommandResult r = WriteStep(lba, data, now);
+  return {r.status, r.complete_time, {}};
+}
+
+FtlResult PageFtl::ReadPage(Lba lba, SimTime now) {
   if (lba >= exported_lbas_) return {FtlStatus::kOutOfRange, now, {}};
+  const PageRead r = ReadStep(lba, now);
+  if (!r.result.ok()) return {r.result.status, r.result.complete_time, {}};
+  return {FtlStatus::kOk, r.result.complete_time, nand::PageData(*r.data)};
+}
+
+CommandResult PageFtl::WriteStep(Lba lba, const nand::PageView& data,
+                                 SimTime now) {
+  if (read_only_) return {FtlStatus::kReadOnly, now};
   MutationAudit audit_scope(*this, "WritePage");
   JournalBatchScope journal_scope(*this, now);
   MaybeCheckpoint(now);
@@ -643,55 +687,49 @@ FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
   // after collection (AllocatePage can still succeed from the active block
   // when the free pool is empty).
   gc_.EnsureFreeSpace(now);
-  data.oob.lba = lba;
-  data.oob.written_at = now;
+  nand::PageView page = data;
+  page.oob.lba = lba;
+  page.oob.written_at = now;
   const SimTime written_at = now;
-  nand::Ppa ppa = ProgramWithRedrive(data, now);
+  nand::Ppa ppa = ProgramWithRedrive(page, now);
   if (ppa == nand::kInvalidPpa) {
     // Out of frontier space. When fault-driven retirement shrank the spare
     // pool this is the graceful end of the device's write life: latch
     // read-only so in-flight and future reads keep completing.
     if (out_of_service_blocks_ > 0) EnterDegraded();
-    return {FtlStatus::kNoSpace, now, {}};
+    return {FtlStatus::kNoSpace, now};
   }
 
   MapVersion(lba, ppa, now);
   ++stats_.host_writes;
   JournalAppend({JournalOpKind::kMap, /*flag=*/false, lba, ppa,
                  nand::kInvalidPpa, write_seq_, written_at, now});
-  return {FtlStatus::kOk, now, {}};
+  return {FtlStatus::kOk, now};
 }
 
-FtlResult PageFtl::ReadPage(Lba lba, SimTime now) {
-  if (lba >= exported_lbas_) return {FtlStatus::kOutOfRange, now, {}};
+PageFtl::PageRead PageFtl::ReadStep(Lba lba, SimTime now) {
   MutationAudit audit_scope(*this, "ReadPage");
   JournalBatchScope journal_scope(*this, now);
   ReleaseExpired(now);
   nand::Ppa ppa = l2p_.Get(lba);
-  if (ppa == nand::kInvalidPpa) return {FtlStatus::kUnmapped, now, {}};
+  if (ppa == nand::kInvalidPpa) return {{FtlStatus::kUnmapped, now}, {}};
   obs::EmitInstant(tracer_, "ftl.map_lookup", "ftl", 0, now,
                    static_cast<std::int64_t>(ppa), "ppa");
   if (config_.delayed_deletion && config_.trim_tombstones &&
       IsTombstone(ppa)) {
     // The mapping points at a trim tombstone: host-visibly the LBA is
     // unmapped; the tombstone page only persists the trim for power loss.
-    return {FtlStatus::kUnmapped, now, {}};
+    return {{FtlStatus::kUnmapped, now}, {}};
   }
   nand::NandResult rd = nand_.ReadPage(ppa, now);
   ++stats_.host_reads;
-  switch (rd.status) {
-    case nand::NandStatus::kOk:
-      return {FtlStatus::kOk, rd.complete_time, nand::PageData(*rd.data)};
-    case nand::NandStatus::kUncorrectableEcc:
-      // The ECC budget was exceeded; the mapping stays (a later soft retry
-      // at the host level may be configured to re-drive the read).
-      return {FtlStatus::kReadError, rd.complete_time, {}};
-    default:
-      // kReadOfErasedPage / kBadAddress on a mapped LBA would mean the
-      // mapping table itself is corrupt. Report the data as lost instead of
-      // asserting — the device stays up.
-      return {FtlStatus::kReadError, rd.complete_time, {}};
-  }
+  if (rd.ok()) return {{FtlStatus::kOk, rd.complete_time}, rd.data};
+  // kUncorrectableEcc: the ECC budget was exceeded; the mapping stays (a
+  // later soft retry at the host level may be configured to re-drive the
+  // read). kReadOfErasedPage / kBadAddress on a mapped LBA would mean the
+  // mapping table itself is corrupt: report the data as lost instead of
+  // asserting — the device stays up.
+  return {{FtlStatus::kReadError, rd.complete_time}, {}};
 }
 
 FtlResult PageFtl::TrimPage(Lba lba, SimTime now) {
@@ -790,7 +828,8 @@ std::size_t PageFtl::RollBackCore(SimTime detect_time,
         if (current != nand::kInvalidPpa) MarkInvalid(current);
         assert(page_state_.Get(e.old_ppa) == PageState::kRetained);
         page_state_.Set(e.old_ppa, PageState::kValid);
-        BlockCounters& info = block_counters_[BlockIdOf(e.old_ppa)];
+        BlockCounters& info =
+            block_counters_[nand_.Decoder().BlockIdOf(e.old_ppa)];
         --info.retained;
         ++info.valid;
         --retained_pages_;
@@ -984,6 +1023,7 @@ void PageFtl::WipeVolatileState() {
   for (auto& pool : free_blocks_by_chip_) pool.clear();
   active_block_per_chip_.assign(geo.TotalChips(), kNoActiveBlock);
   free_block_count_ = 0;
+  RefreshAllChipsReady();
   victims_.Clear();  // re-derived once the pools and frontiers are rebuilt
   queue_.Clear();
   // The version store's index is DRAM too. On the full-scan path archived
@@ -1055,6 +1095,7 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
       }
     }
   }
+  RefreshAllChipsReady();
   RebuildVictimIndex();
   return probe_reads;
 }
@@ -1073,7 +1114,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
 
   for (std::uint32_t b = 0; b < geo.TotalBlocks(); ++b) {
     if (nand_.IsMetadataBlock(b)) continue;  // stamps only, no host data
-    nand::BlockAddr addr = AddrOfBlockId(b);
+    nand::BlockAddr addr = nand_.Decoder().AddrOfBlockId(b);
     const nand::Block& blk = nand_.BlockAt(b);
     if (block_health_[b] == BlockHealth::kRetired) {
       // Out of service: the bad-block table says never touch it again.
@@ -1163,7 +1204,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
             });
   for (const QueuedBackup& qb : backups) {
     page_state_.Set(qb.old_ppa, PageState::kRetained);
-    ++block_counters_[BlockIdOf(qb.old_ppa)].retained;
+    ++block_counters_[nand_.Decoder().BlockIdOf(qb.old_ppa)].retained;
     ++retained_pages_;
     PushBackup(qb.lba, qb.old_ppa, qb.displaced_at, now);
     ++report.backups_restored;
@@ -1218,7 +1259,8 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
         return false;
       }
       page_state_.Set(rec.ppa, PageState::kBad);
-      MarkPendingRetire(BlockIdOf(rec.ppa));  // no-op: health persisted
+      // No-op: the block's health persisted.
+      MarkPendingRetire(nand_.Decoder().BlockIdOf(rec.ppa));
       write_seq_ = std::max(write_seq_, rec.seq);
       return true;
     }
@@ -1242,7 +1284,7 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
     case JournalOpKind::kEraseIntent: {
       std::uint32_t block_id = static_cast<std::uint32_t>(rec.ppa);
       if (block_id >= geo.TotalBlocks()) return false;
-      nand::BlockAddr addr = AddrOfBlockId(block_id);
+      nand::BlockAddr addr = nand_.Decoder().AddrOfBlockId(block_id);
       if (nand_.BlockAt(block_id).EraseCount() > rec.seq) {
         // The intended erase reached media: replay its effects. The intent
         // flush carried every evacuation record, so the block must be fully
@@ -1306,7 +1348,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
   for (std::uint32_t b = 0; b < geo.TotalBlocks(); ++b) {
     if (nand_.IsMetadataBlock(b)) continue;
     if (block_health_[b] == BlockHealth::kRetired) continue;
-    nand::BlockAddr addr = AddrOfBlockId(b);
+    nand::BlockAddr addr = nand_.Decoder().AddrOfBlockId(b);
     const nand::Block& blk = nand_.BlockAt(b);
     const std::uint32_t actual = blk.WritePointer();
     // Replayed horizon: programs land strictly in page order and every
@@ -1433,7 +1475,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
   for (std::uint32_t b = 0; b < geo.TotalBlocks(); ++b) {
     if (nand_.IsMetadataBlock(b)) continue;
     if (block_health_[b] != BlockHealth::kRetired) continue;
-    nand::BlockAddr addr = AddrOfBlockId(b);
+    nand::BlockAddr addr = nand_.Decoder().AddrOfBlockId(b);
     for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
       if (HoldsVersion(
               page_state_.Get(geo.MakePpa(addr.chip, addr.block, p)))) {

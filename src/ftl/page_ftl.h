@@ -67,7 +67,24 @@ class PageFtl {
   /// Number of LBAs exported to the host.
   Lba ExportedLbas() const { return exported_lbas_; }
 
-  FtlResult WritePage(Lba lba, nand::PageData data, SimTime now);
+  /// [lba, lba + count) lies inside the exported range (overflow-safe).
+  bool InExportedRange(Lba lba, std::uint64_t count) const {
+    return count <= exported_lbas_ && lba <= exported_lbas_ - count;
+  }
+
+  /// One host command, page by page, every page issued at `now`: page i of
+  /// a write programs stamp `stamp_base + i`; a read returns no payload.
+  /// Each page runs the same per-page step WritePage / ReadPage run, with
+  /// its own audit and journal scopes. An unmapped read page is skipped;
+  /// any other failing page ends the command with its status. The caller
+  /// range-checks the command first (InExportedRange).
+  CommandResult WriteRange(Lba lba, std::uint32_t count,
+                           std::uint64_t stamp_base, SimTime now);
+  CommandResult ReadRange(Lba lba, std::uint32_t count, SimTime now);
+
+  /// Program a copy of `data` (stamp, bytes and OOB tombstone flag; the FTL
+  /// sets the OOB lba, write time and sequence) as `lba`'s new version.
+  FtlResult WritePage(Lba lba, const nand::PageView& data, SimTime now);
   FtlResult ReadPage(Lba lba, SimTime now);
   /// Discard a mapping (filesystem delete). Under delayed deletion the old
   /// version stays recoverable just like an overwrite.
@@ -317,7 +334,11 @@ class PageFtl {
         : ftl_(ftl), op_(op) {
       ++ftl_.audit_depth_;
     }
+#ifdef INSIDER_AUDIT
     ~MutationAudit();
+#else
+    ~MutationAudit() { --ftl_.audit_depth_; }
+#endif
     MutationAudit(const MutationAudit&) = delete;
     MutationAudit& operator=(const MutationAudit&) = delete;
 
@@ -333,7 +354,11 @@ class PageFtl {
   class JournalBatchScope {
    public:
     JournalBatchScope(PageFtl& ftl, SimTime now) : ftl_(ftl), now_(now) {}
-    ~JournalBatchScope();
+    ~JournalBatchScope() {
+      if (ftl_.journal_.Enabled() && !ftl_.replaying_) {
+        ftl_.JournalFlushBatches(now_);
+      }
+    }
     JournalBatchScope(const JournalBatchScope&) = delete;
     JournalBatchScope& operator=(const JournalBatchScope&) = delete;
 
@@ -342,9 +367,24 @@ class PageFtl {
     SimTime now_;
   };
 
-  std::uint32_t BlockIdOf(nand::Ppa ppa) const;
-  nand::BlockAddr AddrOfBlockId(std::uint32_t block_id) const;
-  bool IsActiveBlock(std::uint32_t block_id) const;
+  /// A per-page read: status and completion time, and on kOk the NAND
+  /// array's view of the page.
+  struct PageRead {
+    CommandResult result;
+    std::optional<nand::PageView> data;
+  };
+
+  /// The per-page steps behind WritePage/WriteRange and ReadPage/ReadRange:
+  /// one page at `now` under its own MutationAudit + JournalBatchScope, the
+  /// caller having range-checked `lba`.
+  CommandResult WriteStep(Lba lba, const nand::PageView& data, SimTime now);
+  PageRead ReadStep(Lba lba, SimTime now);
+
+  /// Re-derive `chip`'s ready bit (ready_chips_) from
+  /// PolicyView::ChipCanAllocate; called wherever its frontier or free pool
+  /// changes.
+  void RefreshChipReady(std::uint32_t chip);
+  void RefreshAllChipsReady();
 
   /// Bring `block_id`'s victim-index entry in line with its state: a member
   /// exactly when it is full, not a write frontier, healthy and not
@@ -359,7 +399,7 @@ class PageFtl {
   /// is replaying — replay must never re-journal its own effects).
   void JournalAppend(const JournalRecord& rec);
   /// Flush full batches (records_per_page granularity); JournalBatchScope's
-  /// destructor body.
+  /// destructor calls it when the journal is on and not replaying.
   void JournalFlushBatches(SimTime now);
   /// Flush everything pending; false when the journal could not be made
   /// durable (the GC erase-intent protocol refuses to erase on false).
@@ -486,6 +526,10 @@ class PageFtl {
   /// Per-chip LIFO pools of erased block ids plus one active block per chip.
   std::vector<std::vector<std::uint32_t>> free_blocks_by_chip_;
   std::vector<std::uint32_t> active_block_per_chip_;
+  /// One bit per chip: its active block has room or its free pool is
+  /// non-empty (PolicyView::ChipCanAllocate, cached so allocation finds the
+  /// next ready chip without probing every full one).
+  std::vector<std::uint64_t> ready_chips_;
   std::size_t free_block_count_ = 0;
   static constexpr std::uint32_t kNoActiveBlock = PolicyView::kNoActiveBlockId;
 

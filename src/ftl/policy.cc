@@ -5,15 +5,12 @@ namespace insider::ftl {
 std::optional<std::uint32_t> StripedAllocationPolicy::NextChip(
     const PolicyView& view) {
   // Stripe across chips round-robin; skip chips that are full and have no
-  // free block to open. The cursor advances past skipped chips too, so the
-  // stripe stays fair as chips fill at different rates.
-  const std::uint32_t chips = view.ChipCount();
-  for (std::uint32_t tries = 0; tries < chips; ++tries) {
-    std::uint32_t chip = next_chip_;
-    if (++next_chip_ >= chips) next_chip_ = 0;
-    if (view.ChipCanAllocate(chip)) return chip;
-  }
-  return std::nullopt;
+  // free block to open. The cursor moves just past the chip taken, skipped
+  // chips included, so the stripe stays fair as chips fill at different
+  // rates; when no chip is ready it stays where it is.
+  std::optional<std::uint32_t> chip = view.NextReadyChip(next_chip_);
+  if (chip) next_chip_ = *chip + 1 == view.ChipCount() ? 0 : *chip + 1;
+  return chip;
 }
 
 std::uint32_t GreedyVictimPolicy::SelectVictim(const PolicyView& view,

@@ -17,6 +17,7 @@
 // for decision (the gc_policy parity test pins this stat-for-stat).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -41,12 +42,13 @@ class PolicyView {
              const std::vector<BlockCounters>& block_counters,
              const std::vector<std::uint32_t>& active_block_per_chip,
              const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip,
-             const std::vector<BlockHealth>& block_health)
+             const std::vector<BlockHealth>& block_health,
+             const std::vector<std::uint64_t>& ready_chips)
       : geometry_(geometry), nand_(nand), victims_(victims),
         block_counters_(block_counters),
         active_block_per_chip_(active_block_per_chip),
         free_blocks_by_chip_(free_blocks_by_chip),
-        block_health_(block_health) {}
+        block_health_(block_health), ready_chips_(ready_chips) {}
 
   const nand::Geometry& Geo() const { return geometry_; }
   std::uint32_t TotalBlocks() const {
@@ -65,8 +67,8 @@ class PolicyView {
   }
   /// An active block is some chip's open write frontier; GC must skip it.
   bool IsActive(std::uint32_t block_id) const {
-    std::uint32_t chip = block_id / geometry_.blocks_per_chip;
-    return active_block_per_chip_[chip] == block_id;
+    return active_block_per_chip_[nand_.Decoder().ChipOfBlock(block_id)] ==
+           block_id;
   }
   std::uint64_t EraseCount(std::uint32_t block_id) const {
     return nand_.BlockAt(block_id).EraseCount();
@@ -99,6 +101,32 @@ class PolicyView {
     }
     return !free_blocks_by_chip_[chip].empty();
   }
+  /// The FTL's cached ChipCanAllocate(chip): one bit per chip, updated
+  /// wherever a frontier fills or opens and wherever a free pool changes
+  /// (the invariant auditor cross-checks the two).
+  bool ChipReady(std::uint32_t chip) const {
+    return (ready_chips_[chip / 64] >> (chip % 64) & 1) != 0;
+  }
+  /// The first chip at or after `from`, wrapping past the last chip, whose
+  /// ready bit is set; nullopt when no chip can allocate. The same answer
+  /// as probing ChipCanAllocate from `from` onwards, in O(chips / 64).
+  std::optional<std::uint32_t> NextReadyChip(std::uint32_t from) const {
+    const std::size_t words = ready_chips_.size();
+    if (words == 0) return std::nullopt;
+    std::size_t w = from / 64;
+    std::uint64_t bits = ready_chips_[w] & (~std::uint64_t{0} << (from % 64));
+    // The start word's upper bits, every other word, then the start word
+    // whole (its bits at or above `from` are known clear by then).
+    for (std::size_t i = 0; i <= words; ++i) {
+      if (bits != 0) {
+        return static_cast<std::uint32_t>(w * 64) +
+               static_cast<std::uint32_t>(std::countr_zero(bits));
+      }
+      w = w + 1 == words ? 0 : w + 1;
+      bits = ready_chips_[w];
+    }
+    return std::nullopt;
+  }
 
   static constexpr std::uint32_t kNoActiveBlockId = 0xFFFFFFFFu;
 
@@ -110,6 +138,7 @@ class PolicyView {
   const std::vector<std::uint32_t>& active_block_per_chip_;
   const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip_;
   const std::vector<BlockHealth>& block_health_;
+  const std::vector<std::uint64_t>& ready_chips_;
 };
 
 // ---------------------------------------------------------------------------
@@ -129,7 +158,9 @@ class AllocationPolicy {
 /// Round-robin chip striping: consecutive allocations walk the chips so a
 /// burst of writes spreads across every channel/way, the way a real
 /// controller exploits array parallelism. Chips that are full (no room, no
-/// free block) are skipped without losing the cursor's fairness.
+/// free block) are skipped without losing the cursor's fairness: the next
+/// chip is the first ready one at or after the cursor, read off the FTL's
+/// ready bitmap (PolicyView::NextReadyChip) instead of probed chip by chip.
 class StripedAllocationPolicy final : public AllocationPolicy {
  public:
   const char* Name() const override { return "striped"; }

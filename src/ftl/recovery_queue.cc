@@ -9,7 +9,8 @@ RecoveryQueue::RecoveryQueue(const RecoveryQueue& other)
     : capacity_(other.capacity_),
       head_(other.head_),
       front_id_(other.front_id_),
-      live_(other.live_) {
+      live_(other.live_),
+      forced_since_release_(other.forced_since_release_) {
   for (const std::unique_ptr<Chunk>& c : other.chunks_) {
     auto copy = std::make_unique_for_overwrite<Chunk>();
     copy->center = c->center;
@@ -28,6 +29,7 @@ RecoveryQueue::Pushed RecoveryQueue::Push(Lba lba, nand::Ppa old_ppa,
     BackupEntry front = PopFront();
     if (front.old_ppa != nand::kInvalidPpa) {
       --live_;
+      forced_since_release_ = true;
       out.evicted = front;
       break;
     }
@@ -89,6 +91,7 @@ std::optional<BackupEntry> RecoveryQueue::PopOldest() {
     BackupEntry e = PopFront();
     if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
     --live_;
+    forced_since_release_ = true;
     return e;
   }
   return std::nullopt;
@@ -131,6 +134,7 @@ void RecoveryQueue::Clear() {
   head_ = 0;
   front_id_ = 0;
   live_ = 0;
+  forced_since_release_ = false;
 }
 
 }  // namespace insider::ftl

@@ -90,6 +90,7 @@ class RecoveryQueue {
   /// The FTL calls this with horizon = now - retention_window.
   template <typename Fn>
   void ReleaseUpTo(SimTime horizon, Fn&& release) {
+    forced_since_release_ = false;
     while (DueBy(horizon)) {
       BackupEntry e = PopFront();
       if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
@@ -101,6 +102,13 @@ class RecoveryQueue {
   /// Pop the oldest entry regardless of age. Used when the device is under
   /// space pressure and must sacrifice recoverability to accept writes.
   std::optional<BackupEntry> PopOldest();
+
+  /// True when PopOldest or a capacity eviction took the front since the
+  /// last ReleaseUpTo. Entries are not pushed in time order (GC can advance
+  /// one write's clock past the next write's), so a release pass may stop
+  /// at a young front with older stragglers behind it; a forced pop can
+  /// then leave such a straggler at the front until the next release pass.
+  bool ForcedSinceRelease() const { return forced_since_release_; }
 
   /// Does entry `id` guard `ppa`? False for an id no live entry has, and
   /// for an entry that guards another page.
@@ -223,6 +231,7 @@ class RecoveryQueue {
   std::uint32_t head_ = 0;     ///< first unpopped slot of chunks_.front()
   std::uint64_t front_id_ = 0; ///< id of chunks_.front()'s slot 0, < kIdModulus
   std::size_t live_ = 0;       ///< pushed, not popped, not dropped
+  bool forced_since_release_ = false;  ///< see ForcedSinceRelease()
 };
 
 }  // namespace insider::ftl

@@ -27,7 +27,7 @@ class FtlStateTamperer {
   /// NAND block holding `ppa` behind the FTL's back, so every queue entry
   /// guarding a page in that block points at vanished data.
   void EraseNandBlockUnder(nand::Ppa ppa) {
-    ftl_.nand_.EraseBlock(ftl_.config_.geometry.BlockAddrOf(ppa), 0);
+    ftl_.nand_.EraseBlock(ftl_.nand_.Decoder().BlockAddrOf(ppa), 0);
   }
 
   /// Violation class 2b — out-of-window backup: pretend a release pass
@@ -63,12 +63,18 @@ class FtlStateTamperer {
     ftl_.block_health_[block_id] = BlockHealth::kRetired;
   }
 
+  /// Violation class 6 — allocator mismatch: flip `chip`'s cached ready bit
+  /// so it no longer says what the chip's frontier and free pool say.
+  void FlipChipReadyBit(std::uint32_t chip) {
+    ftl_.ready_chips_[chip / 64] ^= std::uint64_t{1} << (chip % 64);
+  }
+
   /// Violation class 5 — version-store mismatch: flip a programmed-but-
   /// invalid page to Archived (with the counters kept consistent, so only
   /// the store cross-checks fire: no record names this page).
   void OrphanArchivedPage(nand::Ppa ppa) {
     ftl_.page_state_.Set(ppa, PageState::kArchived);
-    ++ftl_.block_counters_[ftl_.BlockIdOf(ppa)].archived;
+    ++ftl_.block_counters_[ftl_.nand_.Decoder().BlockIdOf(ppa)].archived;
     ++ftl_.archived_pages_;
   }
 
@@ -78,9 +84,9 @@ class FtlStateTamperer {
   void UnarchivePage(nand::Ppa ppa) {
     ftl_.page_state_.Set(ppa, PageState::kInvalid);
     ftl_.p2l_.Set(ppa, kInvalidLba);
-    --ftl_.block_counters_[ftl_.BlockIdOf(ppa)].archived;
+    --ftl_.block_counters_[ftl_.nand_.Decoder().BlockIdOf(ppa)].archived;
     --ftl_.archived_pages_;
-    ftl_.RefreshVictim(ftl_.BlockIdOf(ppa));
+    ftl_.RefreshVictim(ftl_.nand_.Decoder().BlockIdOf(ppa));
   }
 
  private:

@@ -106,11 +106,6 @@ void Ssd::MaybeArmBackgroundGc() {
 
 void Ssd::DrainFirmware(SimTime until) { scheduler_.RunUntil(until); }
 
-bool Ssd::InExportedRange(Lba lba, std::uint64_t length) const {
-  const std::uint64_t exported = ftl_.ExportedLbas();
-  return length <= exported && lba <= exported - length;
-}
-
 void Ssd::Observe(const IoRequest& request) {
   if (!config_.detector_enabled) return;
   // Route the header by namespace. With per_namespace off every nsid maps
@@ -129,7 +124,7 @@ ftl::FtlStatus Ssd::Submit(const IoRequest& request, std::uint64_t stamp_base) {
   IoRequest effective = request;
   if (effective.time < clock_.Now()) effective.time = clock_.Now();
   clock_.AdvanceTo(effective.time);
-  if (!InExportedRange(request.lba, request.length)) {
+  if (!ftl_.InExportedRange(request.lba, request.length)) {
     return ftl::FtlStatus::kOutOfRange;
   }
   Observe(effective);
@@ -164,26 +159,38 @@ Ssd::SubmitOutcome Ssd::ExecuteAsync(const IoRequest& request,
   IoRequest effective = request;
   if (effective.time < clock_.Now()) effective.time = clock_.Now();
   clock_.AdvanceTo(effective.time);
-  SimTime now = effective.time;
-  SubmitOutcome outcome;
-  outcome.complete_time = now;
-  if (!InExportedRange(request.lba, request.length)) {
-    outcome.status = ftl::FtlStatus::kOutOfRange;
-    return outcome;
+  const SimTime now = effective.time;
+  if (!ftl_.InExportedRange(request.lba, request.length)) {
+    return {ftl::FtlStatus::kOutOfRange, now};
   }
   if (observe) Observe(effective);
-  for (std::uint32_t i = 0; i < request.length; ++i) {
-    ftl::FtlResult r = ExecutePage(request, i, stamp_base, now);
-    if (!r.ok()) {
-      if (r.status != ftl::FtlStatus::kUnmapped) {
-        outcome.status = r.status;
-        return outcome;
+  SubmitOutcome outcome{ftl::FtlStatus::kOk, now};
+  switch (request.mode) {
+    case IoMode::kRead:
+      outcome = ftl_.ReadRange(request.lba, request.length, now);
+      break;
+    case IoMode::kWrite:
+      outcome = ftl_.WriteRange(request.lba, request.length, stamp_base, now);
+      break;
+    case IoMode::kTrim:
+      for (std::uint32_t i = 0; i < request.length; ++i) {
+        ftl::FtlResult r = ftl_.TrimPage(request.lba + i, now);
+        if (r.ok()) {
+          outcome.complete_time = std::max(outcome.complete_time,
+                                           r.complete_time);
+        } else if (r.status != ftl::FtlStatus::kUnmapped) {
+          outcome.status = r.status;
+          break;
+        }
       }
-    } else if (r.complete_time > outcome.complete_time) {
-      outcome.complete_time = r.complete_time;
-    }
+      break;
+    case IoMode::kRangeLock:
+    case IoMode::kRangeUnlock:
+      // Enforced at the multi-queue frontend (io::IoEngine); a device
+      // submitted to directly has no lock table, so they are no-ops.
+      break;
   }
-  MaybeArmBackgroundGc();
+  if (outcome.ok()) MaybeArmBackgroundGc();
   return outcome;
 }
 
@@ -193,9 +200,9 @@ ftl::FtlResult Ssd::ExecutePage(const IoRequest& request, std::uint32_t i,
     case IoMode::kRead:
       return ftl_.ReadPage(request.lba + i, now);
     case IoMode::kWrite: {
-      nand::PageData data;
+      nand::PageView data;
       data.stamp = stamp_base + i;
-      return ftl_.WritePage(request.lba + i, std::move(data), now);
+      return ftl_.WritePage(request.lba + i, data, now);
     }
     case IoMode::kTrim:
       return ftl_.TrimPage(request.lba + i, now);
@@ -209,11 +216,14 @@ ftl::FtlResult Ssd::ExecutePage(const IoRequest& request, std::uint32_t i,
   return {};
 }
 
-ftl::FtlResult Ssd::WriteBlockAt(Lba lba, nand::PageData data, SimTime now) {
+ftl::FtlResult Ssd::WriteBlockAt(Lba lba, const nand::PageView& data,
+                                 SimTime now) {
   clock_.AdvanceTo(now);
-  if (!InExportedRange(lba, 1)) return {ftl::FtlStatus::kOutOfRange, now, {}};
+  if (!ftl_.InExportedRange(lba, 1)) {
+    return {ftl::FtlStatus::kOutOfRange, now, {}};
+  }
   Observe({now, lba, 1, IoMode::kWrite});
-  ftl::FtlResult r = ftl_.WritePage(lba, std::move(data), now);
+  ftl::FtlResult r = ftl_.WritePage(lba, data, now);
   if (r.ok()) clock_.AdvanceTo(r.complete_time);
   MaybeArmBackgroundGc();
   return r;
@@ -221,7 +231,9 @@ ftl::FtlResult Ssd::WriteBlockAt(Lba lba, nand::PageData data, SimTime now) {
 
 ftl::FtlResult Ssd::ReadBlockAt(Lba lba, SimTime now) {
   clock_.AdvanceTo(now);
-  if (!InExportedRange(lba, 1)) return {ftl::FtlStatus::kOutOfRange, now, {}};
+  if (!ftl_.InExportedRange(lba, 1)) {
+    return {ftl::FtlStatus::kOutOfRange, now, {}};
+  }
   Observe({now, lba, 1, IoMode::kRead});
   ftl::FtlResult r = ftl_.ReadPage(lba, now);
   if (r.ok()) clock_.AdvanceTo(r.complete_time);
@@ -230,7 +242,9 @@ ftl::FtlResult Ssd::ReadBlockAt(Lba lba, SimTime now) {
 
 ftl::FtlResult Ssd::TrimBlockAt(Lba lba, SimTime now) {
   clock_.AdvanceTo(now);
-  if (!InExportedRange(lba, 1)) return {ftl::FtlStatus::kOutOfRange, now, {}};
+  if (!ftl_.InExportedRange(lba, 1)) {
+    return {ftl::FtlStatus::kOutOfRange, now, {}};
+  }
   Observe({now, lba, 1, IoMode::kTrim});
   return ftl_.TrimPage(lba, now);
 }
@@ -257,17 +271,16 @@ bool Ssd::ReadBlock(std::uint64_t lba, std::span<std::byte> out) {
 bool Ssd::WriteBlock(std::uint64_t lba, std::span<const std::byte> data) {
   if (data.size() != fs::kBlockSize) return false;
   clock_.Advance(config_.host_block_gap);
-  nand::PageData page;
-  page.stamp = 0;
-  page.bytes.assign(data.begin(), data.end());
   // Writes complete asynchronously: the host queues them and moves on (the
   // FTL stripes them across chips), so the host clock advances only by its
   // own submission gap — this is what lets a filesystem writer approach the
   // device's parallel bandwidth rather than one chip's program latency.
   SimTime now = clock_.Now();
-  if (!InExportedRange(lba, 1)) return false;
+  if (!ftl_.InExportedRange(lba, 1)) return false;
   Observe({now, lba, 1, IoMode::kWrite});
-  ftl::FtlResult r = ftl_.WritePage(lba, std::move(page), now);
+  // The FTL programs straight from the caller's buffer: the block's one
+  // copy is the one into NAND.
+  ftl::FtlResult r = ftl_.WritePage(lba, nand::PageView{0, {}, data}, now);
   MaybeArmBackgroundGc();
   return r.ok();
 }

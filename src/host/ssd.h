@@ -76,11 +76,9 @@ class Ssd final : public fs::BlockDevice {
   /// detector or the FTL sees it: no page of it runs.
   ftl::FtlStatus Submit(const IoRequest& request, std::uint64_t stamp_base);
 
-  struct SubmitOutcome {
-    ftl::FtlStatus status = ftl::FtlStatus::kOk;
-    /// When the request's last block finished in the NAND array.
-    SimTime complete_time = 0;
-  };
+  /// The command's status and when its last block finished in the NAND
+  /// array.
+  using SubmitOutcome = ftl::CommandResult;
 
   /// Pipelined submission for the multi-queue frontend (io::IoEngine via
   /// SsdTarget). Same header observation and time-ordering contract as
@@ -100,7 +98,8 @@ class Ssd final : public fs::BlockDevice {
                               std::uint64_t stamp_base);
 
   /// Convenience single-block ops at the current clock.
-  ftl::FtlResult WriteBlockAt(Lba lba, nand::PageData data, SimTime now);
+  ftl::FtlResult WriteBlockAt(Lba lba, const nand::PageView& data,
+                              SimTime now);
   ftl::FtlResult ReadBlockAt(Lba lba, SimTime now);
   ftl::FtlResult TrimBlockAt(Lba lba, SimTime now);
 
@@ -195,13 +194,13 @@ class Ssd final : public fs::BlockDevice {
 
  private:
   void Observe(const IoRequest& request);
-  /// [lba, lba + length) lies inside the exported range (overflow-safe).
-  bool InExportedRange(Lba lba, std::uint64_t length) const;
+  /// SubmitAsync / ResubmitAsync: a read or write command goes to the FTL
+  /// whole (PageFtl::ReadRange / WriteRange); trims go page by page.
   SubmitOutcome ExecuteAsync(const IoRequest& request,
                              std::uint64_t stamp_base, bool observe);
   /// Issue block `i` of `request` to the FTL at `now` (payload stamp
-  /// `stamp_base + i`). Shared by Submit and ExecuteAsync, which differ
-  /// only in how they advance time between blocks.
+  /// `stamp_base + i`): Submit's page-at-a-time step, which advances time
+  /// between blocks.
   ftl::FtlResult ExecutePage(const IoRequest& request, std::uint32_t i,
                              std::uint64_t stamp_base, SimTime now);
   void InstallFirmwareTasks();

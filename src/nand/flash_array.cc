@@ -8,7 +8,7 @@ namespace insider::nand {
 
 FlashArray::FlashArray(const Geometry& geometry, const LatencyModel& latency,
                        const ErrorModel& errors, std::uint64_t error_seed)
-    : geo_(geometry), latency_(latency), errors_(errors),
+    : geo_(geometry), decode_(geometry), latency_(latency), errors_(errors),
       error_rng_(error_seed),
       chip_busy_until_(geometry.TotalChips(), 0),
       channel_busy_until_(geometry.channels, 0) {
@@ -47,7 +47,7 @@ SimTime FlashArray::Occupy(std::uint32_t chip, SimTime now, SimTime die_time,
     }
     return done;
   }
-  std::uint32_t channel = geo_.ChannelOfChip(chip);
+  std::uint32_t channel = decode_.ChannelOfChip(chip);
   SimTime done;
   if (bus_first) {
     // Program: the page streams over the bus into the die's register, then
@@ -122,9 +122,10 @@ bool FlashArray::SampleFault(FaultKind kind, std::uint64_t op_index,
 
 NandResult FlashArray::ReadPage(Ppa ppa, SimTime now) {
   if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, {}};
-  std::uint32_t chip = geo_.ChipOf(ppa);
-  const Block& block = blocks_[ppa / geo_.pages_per_block];
-  std::uint32_t page = geo_.PageOf(ppa);
+  const std::uint32_t block_id = decode_.BlockIdOf(ppa);
+  const std::uint32_t chip = decode_.ChipOfBlock(block_id);
+  const Block& block = blocks_[block_id];
+  const std::uint32_t page = decode_.PageOf(ppa);
   if (block.IsProgrammed(page) && block.IsBadPage(page)) {
     // A burned page always reads uncorrectable: the failed program left its
     // cells in an indeterminate state.
@@ -183,9 +184,10 @@ NandResult FlashArray::Program(Ppa ppa, const PageView& page, SimTime now,
                                std::uint64_t& programs,
                                std::uint64_t& fails) {
   if (!geo_.ValidPpa(ppa)) return {NandStatus::kBadAddress, now, {}};
-  std::uint32_t chip = geo_.ChipOf(ppa);
-  Block& block = blocks_[ppa / geo_.pages_per_block];
-  std::uint32_t index = geo_.PageOf(ppa);
+  const std::uint32_t block_id = decode_.BlockIdOf(ppa);
+  const std::uint32_t chip = decode_.ChipOfBlock(block_id);
+  Block& block = blocks_[block_id];
+  const std::uint32_t index = decode_.PageOf(ppa);
   // Sequencing first: a rejected program never reaches the media, so it
   // must not consume a scripted fault or shift the error RNG.
   if (block.IsFull()) return {NandStatus::kProgramToFullBlock, now, {}};
@@ -240,17 +242,17 @@ void FlashArray::SetMetadataBlocks(std::vector<std::uint64_t> block_ids) {
 
 bool FlashArray::IsProgrammed(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return false;
-  return blocks_[ppa / geo_.pages_per_block].IsProgrammed(geo_.PageOf(ppa));
+  return blocks_[decode_.BlockIdOf(ppa)].IsProgrammed(decode_.PageOf(ppa));
 }
 
 bool FlashArray::IsBadPage(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return false;
-  return blocks_[ppa / geo_.pages_per_block].IsBadPage(geo_.PageOf(ppa));
+  return blocks_[decode_.BlockIdOf(ppa)].IsBadPage(decode_.PageOf(ppa));
 }
 
 std::optional<PageView> FlashArray::PeekPage(Ppa ppa) const {
   if (!geo_.ValidPpa(ppa)) return std::nullopt;
-  return blocks_[ppa / geo_.pages_per_block].Read(geo_.PageOf(ppa));
+  return blocks_[decode_.BlockIdOf(ppa)].Read(decode_.PageOf(ppa));
 }
 
 std::uint64_t FlashArray::TotalEraseCount() const {

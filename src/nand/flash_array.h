@@ -75,6 +75,8 @@ class FlashArray {
                       std::uint64_t error_seed = 0x5eed);
 
   const Geometry& Geo() const { return geo_; }
+  /// PPA and block-id decode for this geometry (see PpaDecoder).
+  const PpaDecoder& Decoder() const { return decode_; }
   const LatencyModel& Latency() const { return latency_; }
   const ErrorModel& Errors() const { return errors_; }
   const NandCounters& Counters() const { return counters_; }
@@ -188,6 +190,7 @@ class FlashArray {
                    std::uint64_t& fails);
 
   Geometry geo_;
+  PpaDecoder decode_;
   LatencyModel latency_;
   ErrorModel errors_;
   Rng error_rng_;

@@ -67,7 +67,7 @@ struct Geometry {
 
   /// Dense PPA encoding: chip-major, then block, then page. Consecutive
   /// pages of one block stay adjacent, matching NAND's sequential-program
-  /// constraint.
+  /// constraint. PpaDecoder takes a PPA apart again.
   Ppa MakePpa(std::uint32_t chip, std::uint32_t block,
               std::uint32_t page) const {
     assert(chip < TotalChips());
@@ -78,30 +78,102 @@ struct Geometry {
            page;
   }
 
-  std::uint32_t ChipOf(Ppa ppa) const {
-    return static_cast<std::uint32_t>(ppa / PagesPerChip());
-  }
-  std::uint32_t BlockOf(Ppa ppa) const {
-    return static_cast<std::uint32_t>((ppa / pages_per_block) %
-                                      blocks_per_chip);
-  }
-  std::uint32_t PageOf(Ppa ppa) const {
-    return static_cast<std::uint32_t>(ppa % pages_per_block);
-  }
-  BlockAddr BlockAddrOf(Ppa ppa) const { return {ChipOf(ppa), BlockOf(ppa)}; }
-
-  /// Channel a chip hangs off: chips are striped channel-first so that
-  /// consecutive chip indices alternate channels (maximizes bus parallelism
-  /// for striped writes, as real controllers do).
-  std::uint32_t ChannelOfChip(std::uint32_t chip) const {
-    return chip % channels;
-  }
-
   bool ValidPpa(Ppa ppa) const { return ppa < TotalPages(); }
 };
 
 /// Small default geometry for unit tests: 2x2 chips, fast to fill and GC.
 inline Geometry TestGeometry() { return Geometry::Toy(); }
+
+/// Division by a divisor fixed at construction, done with one 64x64->128
+/// multiply-high instead of a hardware divide. With m = floor((2^64 - 1) / d),
+/// floor(n / d) = floor(m * (n + 1) / 2^64) holds exactly for every divisor
+/// 1 <= d < 2^32 and dividend 0 <= n < 2^32: writing n = q*d + r, the product
+/// is q + (r + 1)/d - eps with 0 < eps <= 2^-32 < 1/d. A validated geometry
+/// keeps every PPA, block id and chip index below 2^32 (kPageIdOverflow), so
+/// every dividend the decoder sees is in range.
+class Reciprocal {
+ public:
+  /// A zero divisor (the all-zero geometry a rejected config is emptied to,
+  /// which has no PPA to decode) gets a zero multiplier instead of a trap.
+  explicit Reciprocal(std::uint32_t divisor)
+      : divisor_(divisor),
+        multiplier_(divisor == 0 ? 0 : ~std::uint64_t{0} / divisor) {}
+
+  std::uint32_t Divisor() const { return divisor_; }
+  /// n / Divisor() for n < 2^32.
+  std::uint64_t Divide(std::uint64_t n) const {
+    assert(n <= 0xFFFF'FFFFull);
+    return static_cast<std::uint64_t>(
+        (static_cast<__uint128_t>(multiplier_) * (n + 1)) >> 64);
+  }
+  /// n % Divisor() for n < 2^32.
+  std::uint64_t Remainder(std::uint64_t n) const {
+    return n - Divide(n) * divisor_;
+  }
+
+ private:
+  std::uint32_t divisor_;
+  std::uint64_t multiplier_;
+};
+
+/// The one owner of PPA decode: chip, block and page of a dense PPA, the
+/// chip and in-chip index of a global block id (chip * blocks_per_chip +
+/// block), and a chip's channel, each with one Reciprocal multiply instead
+/// of a divide. The NAND array builds one for its geometry and the FTL, its
+/// policies and its auditor decode through it (FlashArray::Decoder()).
+/// Exact for every PPA of a geometry ValidateGeometry accepts.
+class PpaDecoder {
+ public:
+  explicit PpaDecoder(const Geometry& g)
+      : pages_per_block_(g.pages_per_block),
+        blocks_per_chip_(g.blocks_per_chip),
+        pages_per_chip_(static_cast<std::uint32_t>(g.PagesPerChip())),
+        channels_(g.channels) {
+    assert(g.PagesPerChip() <= 0xFFFF'FFFFull);
+  }
+
+  /// Global block id of the block holding `ppa` (ppa / pages_per_block).
+  std::uint32_t BlockIdOf(Ppa ppa) const {
+    return static_cast<std::uint32_t>(pages_per_block_.Divide(ppa));
+  }
+  /// Page index of `ppa` inside its block.
+  std::uint32_t PageOf(Ppa ppa) const {
+    return static_cast<std::uint32_t>(pages_per_block_.Remainder(ppa));
+  }
+  std::uint32_t ChipOf(Ppa ppa) const {
+    return static_cast<std::uint32_t>(pages_per_chip_.Divide(ppa));
+  }
+  /// Block index of `ppa` inside its chip.
+  std::uint32_t BlockOf(Ppa ppa) const {
+    return static_cast<std::uint32_t>(
+        blocks_per_chip_.Remainder(BlockIdOf(ppa)));
+  }
+  BlockAddr BlockAddrOf(Ppa ppa) const {
+    return AddrOfBlockId(BlockIdOf(ppa));
+  }
+
+  /// Chip of a global block id.
+  std::uint32_t ChipOfBlock(std::uint32_t block_id) const {
+    return static_cast<std::uint32_t>(blocks_per_chip_.Divide(block_id));
+  }
+  BlockAddr AddrOfBlockId(std::uint32_t block_id) const {
+    const std::uint32_t chip = ChipOfBlock(block_id);
+    return {chip, block_id - chip * blocks_per_chip_.Divisor()};
+  }
+
+  /// Channel a chip hangs off: chips are striped channel-first so that
+  /// consecutive chip indices alternate channels (maximizes bus parallelism
+  /// for striped writes, as real controllers do).
+  std::uint32_t ChannelOfChip(std::uint32_t chip) const {
+    return static_cast<std::uint32_t>(channels_.Remainder(chip));
+  }
+
+ private:
+  Reciprocal pages_per_block_;
+  Reciprocal blocks_per_chip_;
+  Reciprocal pages_per_chip_;
+  Reciprocal channels_;
+};
 
 // Validation --------------------------------------------------------------
 //

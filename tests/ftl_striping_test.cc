@@ -23,11 +23,10 @@ FtlConfig StripedConfig(bool delayed = true) {
 
 TEST(StripingTest, ConsecutiveWritesRotateAcrossChips) {
   PageFtl ftl(StripedConfig());
-  const nand::Geometry& geo = ftl.Config().geometry;
   std::vector<std::uint32_t> chips;
   for (Lba lba = 0; lba < 8; ++lba) {
     ASSERT_TRUE(ftl.WritePage(lba, {lba, {}}, 0).ok());
-    chips.push_back(geo.ChipOf(*ftl.Lookup(lba)));
+    chips.push_back(ftl.Nand().Decoder().ChipOf(*ftl.Lookup(lba)));
   }
   // Round-robin over 4 chips: positions i and i+4 share a chip, adjacent
   // positions don't.
@@ -45,7 +44,7 @@ TEST(StripingTest, AllChipsCarryData) {
   }
   std::set<std::uint32_t> used_chips;
   for (Lba lba = 0; lba < 64; ++lba) {
-    used_chips.insert(geo.ChipOf(*ftl.Lookup(lba)));
+    used_chips.insert(ftl.Nand().Decoder().ChipOf(*ftl.Lookup(lba)));
   }
   EXPECT_EQ(used_chips.size(), geo.TotalChips());
 }

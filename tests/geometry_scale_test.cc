@@ -160,12 +160,13 @@ TEST(GeometryScaleTest, DenseStructuredRoundTripAtPaperScaleEdges) {
       {last_chip, last_block, last_page},
       {last_chip / 2, last_block / 2, last_page / 2},
   };
+  const PpaDecoder d(g);
   for (const Case& c : cases) {
     Ppa ppa = g.MakePpa(c.chip, c.block, c.page);
     EXPECT_TRUE(g.ValidPpa(ppa));
-    EXPECT_EQ(g.ChipOf(ppa), c.chip);
-    EXPECT_EQ(g.BlockOf(ppa), c.block);
-    EXPECT_EQ(g.PageOf(ppa), c.page);
+    EXPECT_EQ(d.ChipOf(ppa), c.chip);
+    EXPECT_EQ(d.BlockOf(ppa), c.block);
+    EXPECT_EQ(d.PageOf(ppa), c.page);
   }
   // The last page of the device is exactly TotalPages() - 1: the dense
   // encoding is a bijection onto [0, TotalPages).
@@ -175,6 +176,7 @@ TEST(GeometryScaleTest, DenseStructuredRoundTripAtPaperScaleEdges) {
 
 TEST(GeometryScaleTest, DenseStructuredRoundTripRandomSample) {
   Geometry g = Geometry::PaperScale();
+  const PpaDecoder d(g);
   Rng rng(0x9e0'5ca1e);
   for (int i = 0; i < 10'000; ++i) {
     std::uint32_t chip =
@@ -184,9 +186,9 @@ TEST(GeometryScaleTest, DenseStructuredRoundTripRandomSample) {
     std::uint32_t page =
         static_cast<std::uint32_t>(rng.Below(g.pages_per_block));
     Ppa ppa = g.MakePpa(chip, block, page);
-    ASSERT_EQ(g.BlockAddrOf(ppa), (BlockAddr{chip, block}));
-    ASSERT_EQ(g.PageOf(ppa), page);
-    ASSERT_LT(g.ChannelOfChip(chip), g.channels);
+    ASSERT_EQ(d.BlockAddrOf(ppa), (BlockAddr{chip, block}));
+    ASSERT_EQ(d.PageOf(ppa), page);
+    ASSERT_LT(d.ChannelOfChip(chip), g.channels);
   }
 }
 

@@ -135,10 +135,9 @@ TEST(InvariantAuditorTest, DetectsOutOfWindowBackup) {
 TEST(InvariantAuditorTest, DetectsValidCountDrift) {
   PageFtl ftl(SmallConfig());
   ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
-  const nand::Geometry& geo = ftl.Config().geometry;
   nand::Ppa ppa = *ftl.Lookup(5);
   std::uint32_t block_id =
-      geo.ChipOf(ppa) * geo.blocks_per_chip + geo.BlockOf(ppa);
+      ftl.Nand().Decoder().BlockIdOf(ppa);
   ASSERT_TRUE(InvariantAuditor::Audit(ftl).ok());
 
   FtlStateTamperer(ftl).BumpBlockValidCounter(block_id, +1);
@@ -153,10 +152,9 @@ TEST(InvariantAuditorTest, DetectsValidCountDrift) {
 TEST(InvariantAuditorTest, DetectsBadBlockMismatch) {
   PageFtl ftl(SmallConfig());
   ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
-  const nand::Geometry& geo = ftl.Config().geometry;
   nand::Ppa ppa = *ftl.Lookup(5);
   std::uint32_t block_id =
-      geo.ChipOf(ppa) * geo.blocks_per_chip + geo.BlockOf(ppa);
+      ftl.Nand().Decoder().BlockIdOf(ppa);
   ASSERT_TRUE(InvariantAuditor::Audit(ftl).ok());
 
   FtlStateTamperer(ftl).MarkRetiredWithoutEvacuation(block_id);
@@ -168,6 +166,29 @@ TEST(InvariantAuditorTest, DetectsBadBlockMismatch) {
 
 // Versioning enabled (a protected range with archived history) must still
 // audit clean — the V1–V4 store cross-checks pass on a healthy device.
+// Violation class 6 — allocator mismatch: a chip's cached ready bit says
+// the opposite of what its frontier and free pool say, so NextChip would
+// skip a chip that can allocate (or pick one that cannot).
+TEST(InvariantAuditorTest, DetectsFlippedChipReadyBit) {
+  PageFtl ftl(SmallConfig());
+  ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
+  ASSERT_TRUE(InvariantAuditor::Audit(ftl).ok());
+
+  FtlStateTamperer(ftl).FlipChipReadyBit(1);
+
+  AuditReport report = InvariantAuditor::Audit(ftl);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Has(Kind::kAllocatorMismatch)) << report.Diff();
+  EXPECT_NE(report.Diff().find("ready bit of chip 1"), std::string::npos)
+      << report.Diff();
+  EXPECT_NE(ftl.CheckInvariants().find("allocator-mismatch"),
+            std::string::npos);
+
+  // Flipping it back restores agreement.
+  FtlStateTamperer(ftl).FlipChipReadyBit(1);
+  EXPECT_TRUE(InvariantAuditor::Audit(ftl).ok());
+}
+
 TEST(InvariantAuditorTest, HealthyVersioningAuditsClean) {
   FtlConfig cfg = SmallConfig();
   auto table = std::make_shared<version::RangePolicyTable>();
@@ -238,10 +259,9 @@ TEST(InvariantAuditorTest, DetectsRecordNamingNonArchivedPage) {
 TEST(InvariantAuditorTest, DiffNamesKindLocationAndBothValues) {
   PageFtl ftl(SmallConfig());
   ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
-  const nand::Geometry& geo = ftl.Config().geometry;
   nand::Ppa ppa = *ftl.Lookup(5);
   FtlStateTamperer(ftl).BumpBlockValidCounter(
-      geo.ChipOf(ppa) * geo.blocks_per_chip + geo.BlockOf(ppa), +3);
+      ftl.Nand().Decoder().BlockIdOf(ppa), +3);
 
   AuditReport report = InvariantAuditor::Audit(ftl);
   ASSERT_FALSE(report.ok());
@@ -288,10 +308,9 @@ TEST(InvariantAuditorDeathTest, AuditedBuildAbortsWithStructuredDiff) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   PageFtl ftl(SmallConfig());
   ASSERT_TRUE(ftl.WritePage(5, {1, {}}, Seconds(1)).ok());
-  const nand::Geometry& geo = ftl.Config().geometry;
   nand::Ppa ppa = *ftl.Lookup(5);
   FtlStateTamperer(ftl).BumpBlockValidCounter(
-      geo.ChipOf(ppa) * geo.blocks_per_chip + geo.BlockOf(ppa), +1);
+      ftl.Nand().Decoder().BlockIdOf(ppa), +1);
   EXPECT_DEATH(ftl.WritePage(6, {2, {}}, Seconds(2)),
                "INSIDER_AUDIT failure.*counter-drift");
 }

@@ -22,13 +22,14 @@ TEST(GeometryTest, DerivedQuantities) {
 
 TEST(GeometryTest, PpaRoundTrip) {
   Geometry g = TestGeometry();
+  const PpaDecoder d(g);
   for (std::uint32_t chip = 0; chip < g.TotalChips(); ++chip) {
     for (std::uint32_t block = 0; block < g.blocks_per_chip; block += 3) {
       for (std::uint32_t page = 0; page < g.pages_per_block; ++page) {
         Ppa ppa = g.MakePpa(chip, block, page);
-        EXPECT_EQ(g.ChipOf(ppa), chip);
-        EXPECT_EQ(g.BlockOf(ppa), block);
-        EXPECT_EQ(g.PageOf(ppa), page);
+        EXPECT_EQ(d.ChipOf(ppa), chip);
+        EXPECT_EQ(d.BlockOf(ppa), block);
+        EXPECT_EQ(d.PageOf(ppa), page);
       }
     }
   }
@@ -51,10 +52,11 @@ TEST(GeometryTest, ChannelStriping) {
   Geometry g;
   g.channels = 4;
   g.ways = 2;
-  EXPECT_EQ(g.ChannelOfChip(0), 0u);
-  EXPECT_EQ(g.ChannelOfChip(1), 1u);
-  EXPECT_EQ(g.ChannelOfChip(4), 0u);
-  EXPECT_EQ(g.ChannelOfChip(7), 3u);
+  const PpaDecoder d(g);
+  EXPECT_EQ(d.ChannelOfChip(0), 0u);
+  EXPECT_EQ(d.ChannelOfChip(1), 1u);
+  EXPECT_EQ(d.ChannelOfChip(4), 0u);
+  EXPECT_EQ(d.ChannelOfChip(7), 3u);
 }
 
 TEST(BlockTest, SequentialProgramEnforced) {

@@ -61,7 +61,7 @@ TEST(NandTimingTest, ChipsOnSameChannelShareTheBus) {
   FlashArray nand(TwoByTwo(), lat);
   const Geometry& g = nand.Geo();
   // Chips 0 and 2 share channel 0.
-  ASSERT_EQ(g.ChannelOfChip(0), g.ChannelOfChip(2));
+  ASSERT_EQ(nand.Decoder().ChannelOfChip(0), nand.Decoder().ChannelOfChip(2));
   SimTime t = Seconds(1);
   NandResult a = nand.ProgramPage(g.MakePpa(0, 0, 0), {1, {}}, t);
   NandResult b = nand.ProgramPage(g.MakePpa(2, 0, 0), {2, {}}, t);
@@ -73,7 +73,7 @@ TEST(NandTimingTest, ChipsOnDifferentChannelsOverlapFully) {
   LatencyModel lat;
   FlashArray nand(TwoByTwo(), lat);
   const Geometry& g = nand.Geo();
-  ASSERT_NE(g.ChannelOfChip(0), g.ChannelOfChip(1));
+  ASSERT_NE(nand.Decoder().ChannelOfChip(0), nand.Decoder().ChannelOfChip(1));
   SimTime t = Seconds(1);
   NandResult a = nand.ProgramPage(g.MakePpa(0, 0, 0), {1, {}}, t);
   NandResult b = nand.ProgramPage(g.MakePpa(1, 0, 0), {2, {}}, t);

@@ -136,6 +136,37 @@ TEST(RecoveryQueueTest, PopOldestFifoOrder) {
   EXPECT_FALSE(q.PopOldest().has_value());
 }
 
+// Pushes are not in time order, so a forced pop can uncover a straggler
+// older than the last release horizon; the flag tells the auditor's Q3 that
+// the front is not a release pass's until the next one runs.
+TEST(RecoveryQueueTest, ForcedPopsAreFlaggedUntilTheNextRelease) {
+  RecoveryQueue q(0);
+  q.Push(1, 100, 50);  // a write whose clock GC advanced
+  q.Push(2, 101, 10);  // the next page of the command, stamped earlier
+  q.Push(3, 102, 60);
+  std::size_t released = 0;
+  q.ReleaseUpTo(20, [&](const BackupEntry&) { ++released; });
+  EXPECT_EQ(released, 0u);  // the young front blocks the straggler
+  EXPECT_FALSE(q.ForcedSinceRelease());
+  ASSERT_TRUE(q.PopOldest().has_value());
+  EXPECT_TRUE(q.ForcedSinceRelease());
+  q.ReleaseUpTo(20, [&](const BackupEntry& e) {
+    EXPECT_EQ(e.lba, 2u);
+    ++released;
+  });
+  EXPECT_EQ(released, 1u);
+  EXPECT_FALSE(q.ForcedSinceRelease());
+
+  RecoveryQueue bounded(1);
+  bounded.Push(1, 100, 1);
+  EXPECT_FALSE(bounded.ForcedSinceRelease());
+  EXPECT_TRUE(bounded.Push(2, 101, 2).evicted.has_value());
+  EXPECT_TRUE(bounded.ForcedSinceRelease());
+  EXPECT_TRUE(RecoveryQueue(bounded).ForcedSinceRelease());
+  bounded.Clear();
+  EXPECT_FALSE(bounded.ForcedSinceRelease());
+}
+
 TEST(RecoveryQueueTest, PackedEntryMatchesPaperTableIII) {
   EXPECT_EQ(RecoveryQueue::PackedEntryBytes(), 12u);
   EXPECT_EQ(RecoveryQueue::StoredEntryBytes(), 12u);
